@@ -215,33 +215,6 @@ pub fn add_deep_ceilings<S: Scalar>(
     }
 }
 
-/// A primal/dual certificate harvested from a prior solve of a
-/// [`NestedLp`], in raw model-variable space.
-///
-/// Fed back into [`NestedLp::solve_warm`] on a later, closely related
-/// model: when the certificate still proves a *unique* optimum there
-/// ([`Model::try_warm`]), the LP solve is skipped entirely and the
-/// result is bit-identical to a cold solve.
-#[derive(Debug, Clone)]
-pub struct LpCertificate<S> {
-    /// Primal values, one per model variable.
-    pub x: Vec<S>,
-    /// Dual multipliers, one per model constraint.
-    pub y: Vec<S>,
-}
-
-/// Outcome of [`NestedLp::solve_warm`].
-#[derive(Debug)]
-pub struct WarmSolve<S> {
-    /// The (projected) LP optimum.
-    pub solution: FractionalSolution<S>,
-    /// A certificate for seeding a future solve, when one was reused or
-    /// capture was requested and succeeded.
-    pub certificate: Option<LpCertificate<S>>,
-    /// True when `seed` was accepted and the simplex never ran.
-    pub warm_hit: bool,
-}
-
 impl<S: Scalar> NestedLp<S> {
     /// Solve and project onto node space.
     pub fn solve(&self) -> Result<FractionalSolution<S>, NestedLpError> {
@@ -252,51 +225,6 @@ impl<S: Scalar> NestedLp<S> {
             LpStatus::Unbounded => unreachable!("objective Σx ≥ 0 is bounded below"),
         }
         Ok(self.project(&sol))
-    }
-
-    /// Solve with an optional warm certificate from a prior solve.
-    ///
-    /// When `seed` is present and [`Model::try_warm`] proves it is the
-    /// unique optimum of *this* model, the simplex is skipped and the
-    /// seeded solution is returned — provably bit-identical to what a
-    /// cold [`NestedLp::solve`] would produce. Otherwise the model is
-    /// solved cold; in that case `capture` additionally runs the
-    /// dual-reporting solver to harvest a fresh certificate for future
-    /// seeding. The cold primal path is *unchanged* by capture: the
-    /// pipeline solution always comes from the same presolved solve a
-    /// cold caller gets, so capturing never perturbs this solve's
-    /// result.
-    pub fn solve_warm(
-        &self,
-        seed: Option<&LpCertificate<S>>,
-        capture: bool,
-    ) -> Result<WarmSolve<S>, NestedLpError> {
-        if let Some(cert) = seed {
-            if let Some(sol) = self.model.try_warm(&cert.x, &cert.y) {
-                return Ok(WarmSolve {
-                    solution: self.project(&sol),
-                    certificate: Some(cert.clone()),
-                    warm_hit: true,
-                });
-            }
-        }
-        let solution = self.solve()?;
-        let certificate = if capture {
-            // A second, presolve-free solve purely for the duals. Its
-            // primal may sit on a different optimal vertex than the
-            // pipeline solution above — irrelevant: the pair only needs
-            // to be self-consistent, and reuse later re-proves
-            // uniqueness against the then-current model.
-            match self.model.solve_with_duals() {
-                Ok((dual_sol, duals)) if dual_sol.status == LpStatus::Optimal => {
-                    Some(LpCertificate { x: dual_sol.values, y: duals })
-                }
-                _ => None,
-            }
-        } else {
-            None
-        };
-        Ok(WarmSolve { solution, certificate, warm_hit: false })
     }
 
     fn project(&self, sol: &atsched_lp::Solution<S>) -> FractionalSolution<S> {

@@ -94,13 +94,12 @@ impl std::str::FromStr for ShardMode {
 ///
 /// Orthogonal to [`LpBackend`]: only consulted when `backend` is
 /// [`LpBackend::Exact`] (the float backends are approximate by design
-/// and ignore it). Warm-started solves ([`solve_nested_seeded`]) also
-/// ignore it — the seed protocol is defined over the pure exact solver.
+/// and ignore it).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PrecisionMode {
     /// f64-first with exact verification (the default): solve the LP in
-    /// `f64`, re-derive the final basis exactly, certify optimality and
-    /// uniqueness, and fall back to the exact simplex on any failure.
+    /// `f64`, re-derive the final basis exactly, certify optimality, and
+    /// fall back to the exact simplex on any failure.
     /// Bit-identical to [`PrecisionMode::Exact`] in every case — see
     /// [`atsched_lp::Model::solve_hybrid`].
     Hybrid,
@@ -146,8 +145,7 @@ impl std::str::FromStr for PrecisionMode {
 /// whenever it answers; it declines (with a typed
 /// [`TreeDecline`](crate::treelp::TreeDecline) reason) on shapes it
 /// cannot certify. Only consulted when `backend` is
-/// [`LpBackend::Exact`]; warm-started solves ([`solve_nested_seeded`])
-/// ignore it, like they ignore `precision`.
+/// [`LpBackend::Exact`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum LpPath {
     /// Try the tree path first, silently fall back to simplex on a
@@ -491,85 +489,6 @@ pub fn solve_nested(inst: &Instance, opts: &SolverOptions) -> Result<SolveResult
             run_snap_pipeline(inst, canon, nodes_original, &bounds, opts, timings)
         }
     }
-}
-
-/// An opaque warm-start seed for [`solve_nested_seeded`]: the primal/
-/// dual certificate of a prior exact LP solve.
-///
-/// Captured by a `capture = true` solve and fed back into a later solve
-/// of a closely related instance. Reuse is gated by an exact
-/// optimality-and-uniqueness proof against the new LP (see
-/// [`atsched_lp::Model::try_warm`]), so a seeded solve is always
-/// bit-identical to a cold one — at worst the seed is declined and the
-/// LP is solved from scratch.
-#[derive(Debug, Clone)]
-pub struct WarmSeed {
-    cert: crate::lp_model::LpCertificate<Ratio>,
-}
-
-/// Result of [`solve_nested_seeded`].
-#[derive(Debug)]
-pub struct SeededSolve {
-    /// The solve result — bit-identical to what [`solve_nested`] returns.
-    pub result: SolveResult,
-    /// A seed for a future solve: the accepted input seed on a warm hit,
-    /// or a freshly captured certificate when `capture` was requested.
-    pub seed: Option<WarmSeed>,
-    /// True when the input seed was accepted and the simplex never ran.
-    pub warm_hit: bool,
-}
-
-/// [`solve_nested`] with LP warm-starting across related solves.
-///
-/// Exact-backend only: on any other backend (or the empty instance)
-/// this delegates to [`solve_nested`] and returns no seed. When `seed`
-/// is provided and certifies the unique optimum of the amended LP, the
-/// LP stage is skipped; `capture` harvests a certificate from a cold
-/// solve (one extra presolve-free LP solve — worth it only when the
-/// seed will actually be reused). The returned [`SolveResult`] is
-/// bit-identical to a cold [`solve_nested`] in every case.
-pub fn solve_nested_seeded(
-    inst: &Instance,
-    opts: &SolverOptions,
-    seed: Option<&WarmSeed>,
-    capture: bool,
-) -> Result<SeededSolve, SolveError> {
-    if inst.jobs.is_empty() || opts.backend != LpBackend::Exact {
-        return solve_nested(inst, opts).map(|result| SeededSolve {
-            result,
-            seed: None,
-            warm_hit: false,
-        });
-    }
-    let _solve_span = obs::Span::enter("solve");
-    let stage = Instant::now();
-    let span = obs::Span::enter("canonicalize");
-    let forest = Forest::build(inst).map_err(SolveError::Instance)?;
-    let nodes_original = forest.num_nodes();
-    let canon = canonicalize(&forest, inst);
-    let bounds = opt23::compute(&canon, inst);
-    let mut timings = StageTimings { canonicalize: stage.elapsed(), ..StageTimings::default() };
-    drop(span);
-
-    let stage = Instant::now();
-    let lp_span = obs::Span::enter("lp");
-    let mut lp = build_opts::<Ratio>(&canon, inst, &bounds, opts.use_ceiling);
-    if opts.use_ceiling && opts.ceiling_depth > 3 {
-        let deep = crate::opt23::compute_deep(&canon, inst, opts.ceiling_depth);
-        crate::lp_model::add_deep_ceilings(&mut lp, &canon, &deep);
-    }
-    let warm = lp.solve_warm(seed.map(|s| &s.cert), capture).map_err(|e| match e {
-        NestedLpError::Infeasible => SolveError::Infeasible,
-        NestedLpError::Solver(e) => SolveError::Lp(e),
-    })?;
-    timings.lp = stage.elapsed();
-    drop(lp_span);
-
-    let warm_hit = warm.warm_hit;
-    let seed_out = warm.certificate.map(|cert| WarmSeed { cert });
-    let result =
-        finish_pipeline::<Ratio>(inst, canon, nodes_original, opts, warm.solution, timings)?;
-    Ok(SeededSolve { result, seed: seed_out, warm_hit })
 }
 
 /// Job-count gate for the Lemma 4.1 deficiency cross-check on the
@@ -1017,73 +936,6 @@ mod tests {
         assert!(r.stats.active_slots as i64 <= r.stats.opened_slots);
         assert!(r.stats.lp_objective > 0.0);
         assert!(r.stats.lp_objective_exact.is_some());
-    }
-
-    #[test]
-    fn seeded_solve_matches_cold_and_reuses_certificates() {
-        let i = inst(2, vec![(0, 12, 3), (1, 6, 2), (2, 5, 1), (7, 11, 2)]);
-        let opts = SolverOptions::exact();
-        let cold = solve_nested(&i, &opts).unwrap();
-
-        // Capture pass: same result as cold, plus a certificate.
-        let first = solve_nested_seeded(&i, &opts, None, true).unwrap();
-        assert!(!first.warm_hit);
-        assert_eq!(first.result.z, cold.z);
-        assert_eq!(first.result.stats.lp_objective_exact, cold.stats.lp_objective_exact);
-        assert_eq!(first.result.schedule.slots, cold.schedule.slots);
-        let seed = first.seed.expect("capture must produce a seed");
-
-        // Re-solving the *same* instance with the seed is bit-identical
-        // whether or not the certificate managed to prove uniqueness
-        // (slack windows usually admit alternate LP optima, so a decline
-        // and cold re-solve is the common outcome here).
-        let second = solve_nested_seeded(&i, &opts, Some(&seed), true).unwrap();
-        assert_eq!(second.result.z, cold.z);
-        assert_eq!(second.result.stats.lp_objective_exact, cold.stats.lp_objective_exact);
-        assert_eq!(second.result.schedule.slots, cold.schedule.slots);
-        assert_eq!(second.result.schedule.assignment, cold.schedule.assignment);
-
-        // A seed from a *different* instance is declined, never wrong.
-        let other = inst(2, vec![(0, 12, 3), (1, 6, 2), (2, 5, 2), (7, 11, 2)]);
-        let third = solve_nested_seeded(&other, &opts, Some(&seed), false).unwrap();
-        assert!(!third.warm_hit);
-        assert!(third.seed.is_none(), "no capture requested");
-        let other_cold = solve_nested(&other, &opts).unwrap();
-        assert_eq!(third.result.z, other_cold.z);
-        assert_eq!(third.result.stats.lp_objective_exact, other_cold.stats.lp_objective_exact);
-    }
-
-    #[test]
-    fn rigid_instances_warm_hit() {
-        // Window length == processing pins every LP variable, so the
-        // captured certificate proves uniqueness and the re-solve skips
-        // the simplex entirely.
-        let i = inst(2, vec![(0, 4, 4), (0, 4, 4)]);
-        let opts = SolverOptions::exact();
-        let cold = solve_nested(&i, &opts).unwrap();
-        let first = solve_nested_seeded(&i, &opts, None, true).unwrap();
-        let seed = first.seed.expect("capture must produce a seed");
-        let second = solve_nested_seeded(&i, &opts, Some(&seed), true).unwrap();
-        assert!(second.warm_hit, "rigid LP must accept its own certificate");
-        assert!(second.seed.is_some(), "warm hit keeps the seed alive");
-        assert_eq!(second.result.z, cold.z);
-        assert_eq!(second.result.stats.lp_objective_exact, cold.stats.lp_objective_exact);
-        assert_eq!(second.result.schedule.slots, cold.schedule.slots);
-        assert_eq!(second.result.schedule.assignment, cold.schedule.assignment);
-    }
-
-    #[test]
-    fn seeded_solve_degrades_gracefully_off_the_exact_backend() {
-        let i = inst(2, vec![(0, 8, 2), (1, 4, 1), (5, 7, 1)]);
-        let r = solve_nested_seeded(&i, &SolverOptions::float(), None, true).unwrap();
-        assert!(!r.warm_hit);
-        assert!(r.seed.is_none(), "float backend never captures");
-        r.result.schedule.verify(&i).unwrap();
-
-        let empty = inst(3, vec![]);
-        let r = solve_nested_seeded(&empty, &SolverOptions::exact(), None, true).unwrap();
-        assert_eq!(r.result.stats.opened_slots, 0);
-        assert!(r.seed.is_none());
     }
 
     #[test]

@@ -15,15 +15,14 @@
 //! 2. **Engine cache.** Dirty shards first consult the engine's solve
 //!    cache (shared with [`Engine::solve_batch`]), so a shard shape seen
 //!    anywhere before — by any session or batch — is reused.
-//! 3. **LP warm starts.** A genuinely dirty shard is solved with
-//!    [`solve_nested_seeded`]: a dual certificate captured from the
-//!    previous solve of the overlapping time region is offered to the
-//!    new LP and reused only when it *proves* the unique optimum
-//!    (see [`atsched_lp::Model::try_warm`]) — bit-identical or declined.
+//! 3. **Cold solve.** A genuinely dirty shard is solved with
+//!    [`solve_nested`] under [`shard::shard_options`], exactly as
+//!    [`Engine::solve_one`] solves it: tree path, then hybrid, then the
+//!    exact simplex, honouring `lp_path` and `precision`.
 //!
 //! The invariant is absolute: **any amend sequence yields exactly the
-//! result a cold solve of the final instance would**. Every reuse layer
-//! is either content-identical (1, 2) or proof-gated (3).
+//! result a cold solve of the final instance would**. Layers 1 and 2
+//! reuse only content-identical results, and layer 3 is the cold solve.
 //!
 //! Sessions deliberately ignore [`EngineConfig::timeout`]: the splice
 //! bookkeeping needs borrowed state that the budget helper thread's
@@ -43,19 +42,26 @@
 //! When the engine observes, sessions record `engine.open_ms` /
 //! `engine.amend_ms` latency histograms, an `engine.amends` counter, an
 //! `engine.sessions_open` gauge, per-amend reuse counters
-//! (`engine.amend_shards_reused`, `engine.amend_shards_solved`,
-//! `engine.amend_warm_hits`, `engine.amend_warm_misses`), and a
-//! `span.amend.ms` span wrapping the re-solve.
+//! (`engine.amend_shards_reused`, `engine.amend_shards_solved`), and a
+//! `span.amend.ms` span wrapping the re-solve. Dirty-shard solves bump
+//! the same `lp.tree_*` / `lp.hybrid_*` counters as cold solves.
+//!
+//! `engine.amend_warm_hits` and `engine.amend_warm_misses` are
+//! deprecated: sessions no longer warm-start the LP, so the first stays
+//! 0 and the second counts every dirty shard solved. Both stay
+//! registered for readers that derive a warm-hit rate from them.
+//!
+//! [`EngineConfig::timeout`]: crate::EngineConfig::timeout
 
 use crate::batch::{settle, Engine, Outcome};
 use crate::cache::CacheKey;
 use crate::isolate::{isolated, Interrupt};
 use crate::par::par_map_workers;
 use crate::shard;
-use atsched_core::decompose::{merge, Shard};
+use atsched_core::decompose::merge;
 use atsched_core::delta::{apply, DeltaError, JobDelta};
 use atsched_core::instance::{Instance, Job};
-use atsched_core::solver::{solve_nested_seeded, SolveError, SolveResult, SolverOptions, WarmSeed};
+use atsched_core::solver::{solve_nested, SolveError, SolveResult, SolverOptions};
 use atsched_obs as obs;
 use std::collections::HashMap;
 use std::fmt;
@@ -125,10 +131,15 @@ struct SessionState {
     /// content. Rebuilt on every solve, so it never outgrows the
     /// current decomposition.
     parts: HashMap<PartKey, SolveResult>,
-    /// Dual certificates from the previous solve, keyed by the absolute
-    /// time hull `[lo, hi)` they were captured over. Offered to dirty
-    /// shards overlapping that hull.
-    seeds: Vec<(i64, i64, WarmSeed)>,
+}
+
+/// How one session solve split its parts between reuse and the solver.
+#[derive(Debug, Clone, Copy)]
+struct Reuse {
+    /// Parts spliced from the previous solve or found in the engine cache.
+    reused: u64,
+    /// Dirty parts handed to [`solve_nested`].
+    solved: u64,
 }
 
 /// A live incremental-solving session (see the [module docs](self)).
@@ -147,20 +158,16 @@ impl Engine {
     /// policy and keep the per-part results for future amends.
     ///
     /// The options are fixed for the session's lifetime. The initial
-    /// solve records into `engine.open_ms`; it captures no LP
-    /// certificates (that costs an extra LP solve per shard), so warm
-    /// starts begin with the second amend.
+    /// solve records into `engine.open_ms`.
     pub fn open_session(&self, inst: Instance, opts: &SolverOptions) -> Session<'_> {
         let mut state = SessionState {
             instance: inst,
             opts: opts.clone(),
             outcome: Outcome::Failed("session not yet solved".into()),
             parts: HashMap::new(),
-            seeds: Vec::new(),
         };
         let start = Instant::now();
-        let outcome = self.observed(|| self.session_solve(&mut state, false));
-        state.outcome = outcome;
+        state.outcome = self.observed(|| self.session_solve(&mut state)).0;
         self.tally(&state.outcome);
         if self.cfg.observe {
             self.registry.histogram("engine.open_ms").record(start.elapsed().as_secs_f64() * 1e3);
@@ -188,9 +195,9 @@ impl Engine {
         Some(Session { engine: self, id, state })
     }
 
-    /// Close a session, dropping its cached parts and seeds. Returns
-    /// whether the id was open. (Results already copied into the
-    /// engine's solve cache stay there.)
+    /// Close a session, dropping its cached parts. Returns whether the
+    /// id was open. (Results already copied into the engine's solve
+    /// cache stay there.)
     pub fn close_session(&self, id: SessionId) -> bool {
         let (removed, open) = {
             let mut map = self.sessions.map.lock().expect("session table lock");
@@ -208,26 +215,28 @@ impl Engine {
     }
 
     /// Solve `state.instance`, splicing previous parts where the
-    /// decomposition's content matches and seeding dirty shards with
-    /// captured LP certificates. `amend` enables certificate capture and
-    /// the amend reuse counters (the opening solve skips both).
-    fn session_solve(&self, state: &mut SessionState, amend: bool) -> Outcome {
+    /// decomposition's content matches and solving the rest cold.
+    ///
+    /// Each dirty shard's result is cached under its shard key. The
+    /// merged result of a decomposed instance is not cached: amends never
+    /// look it up, and a cold solve of the same instance rebuilds it from
+    /// the shard entries. An undecomposed instance is cached under its
+    /// whole-instance key, its only entry.
+    fn session_solve(&self, state: &mut SessionState) -> (Outcome, Reuse) {
         let start = Instant::now();
-        let inst = state.instance.clone();
-        let opts = state.opts.clone();
+        let inst = &state.instance;
+        let opts = &state.opts;
         let prev_parts = std::mem::take(&mut state.parts);
-        let prev_seeds = std::mem::take(&mut state.seeds);
         let mut next_parts: HashMap<PartKey, SolveResult> = HashMap::new();
-        let mut next_seeds: Vec<(i64, i64, WarmSeed)> = Vec::new();
         let mut reused = 0u64;
         let mut dirty_solved = 0u64;
-        let mut warm_hits = 0u64;
-        let mut warm_misses = 0u64;
+        let mut decomposed = false;
 
         let solved: Result<Result<SolveResult, SolveError>, Interrupt> = isolated(|| {
-            match shard::plan(&inst, &opts) {
+            match shard::plan(inst, opts) {
                 Some(dec) => {
-                    let sopts = shard::shard_options(&opts);
+                    decomposed = true;
+                    let sopts = shard::shard_options(opts);
                     let n = dec.len();
                     // Resolution pass: splice from session parts, then
                     // from the engine cache; everything else is dirty.
@@ -237,7 +246,6 @@ impl Engine {
                     for (i, sh) in dec.shards.iter().enumerate() {
                         if let Some(part) = prev_parts.get(&PartKey::of(&sh.instance)) {
                             reused += 1;
-                            carry_seeds(&prev_seeds, abs_hull(sh), &mut next_seeds);
                             slots[i] = Some(Ok(part.clone()));
                         } else if let Some(found) = self
                             .cfg
@@ -256,13 +264,11 @@ impl Engine {
                     }
                     dirty_solved += dirty.len() as u64;
 
-                    // Fan the dirty shards out, seeded by hull overlap.
+                    // Fan the dirty shards out.
                     let workers = self.cfg.effective_workers();
                     let collector = obs::current_collector();
                     let dirty_out = par_map_workers(dirty, workers, |i| {
-                        let sh = &dec.shards[i];
-                        let seed = find_seed(&prev_seeds, abs_hull(sh));
-                        let run = || solve_nested_seeded(&sh.instance, &sopts, seed, amend);
+                        let run = || solve_nested(&dec.shards[i].instance, &sopts);
                         let res = match &collector {
                             Some(c) => obs::with_collector(c.clone(), run),
                             None => run(),
@@ -270,31 +276,11 @@ impl Engine {
                         (i, res)
                     });
                     for (i, res) in dirty_out {
-                        let sh = &dec.shards[i];
-                        let key = self.cfg.cache.then(|| CacheKey::new(&sh.instance, &sopts));
-                        match res {
-                            Ok(s) => {
-                                if s.warm_hit {
-                                    warm_hits += 1;
-                                } else if amend {
-                                    warm_misses += 1;
-                                }
-                                if let Some(seed) = s.seed {
-                                    let (lo, hi) = abs_hull(sh);
-                                    next_seeds.push((lo, hi, seed));
-                                }
-                                if let Some(key) = key {
-                                    self.cache.insert(key, Ok(s.result.clone()));
-                                }
-                                slots[i] = Some(Ok(s.result));
-                            }
-                            Err(e) => {
-                                if let Some(key) = key {
-                                    self.cache.insert(key, Err(e.clone()));
-                                }
-                                slots[i] = Some(Err(e));
-                            }
+                        if self.cfg.cache {
+                            let key = CacheKey::new(&dec.shards[i].instance, &sopts);
+                            self.cache.insert(key, res.clone());
                         }
+                        slots[i] = Some(res);
                     }
 
                     // Combine in root order; the first error wins,
@@ -323,7 +309,7 @@ impl Engine {
                         Some(e) => Err(e),
                         None => {
                             let span = obs::Span::enter("solve.merge");
-                            let merged = merge(&inst, &dec, &parts);
+                            let merged = merge(inst, &dec, &parts);
                             drop(span);
                             obs::counter_add("engine.shards", n as u64);
                             Ok(merged)
@@ -331,54 +317,34 @@ impl Engine {
                     }
                 }
                 // Single-root (or sharding-off) instances degenerate to
-                // one pseudo-shard: splice on identical content, seed
-                // from the whole-instance hull otherwise.
+                // one pseudo-shard: splice on identical content, solve
+                // cold otherwise.
                 None => {
-                    let key = PartKey::of(&inst);
-                    let hull = inst.horizon().unwrap_or((0, 0));
+                    let key = PartKey::of(inst);
                     if let Some(part) = prev_parts.get(&key) {
                         reused += 1;
-                        carry_seeds(&prev_seeds, hull, &mut next_seeds);
                         let part = part.clone();
                         next_parts.insert(key, part.clone());
                         Ok(part)
                     } else {
                         dirty_solved += 1;
-                        let seed = find_seed(&prev_seeds, hull);
-                        match solve_nested_seeded(&inst, &opts, seed, amend) {
-                            Ok(s) => {
-                                if s.warm_hit {
-                                    warm_hits += 1;
-                                } else if amend {
-                                    warm_misses += 1;
-                                }
-                                if let Some(sd) = s.seed {
-                                    next_seeds.push((hull.0, hull.1, sd));
-                                }
-                                next_parts.insert(key, s.result.clone());
-                                Ok(s.result)
-                            }
-                            Err(e) => Err(e),
+                        let res = solve_nested(inst, opts);
+                        if let Ok(result) = &res {
+                            next_parts.insert(key, result.clone());
                         }
+                        res
                     }
                 }
             }
         });
 
         state.parts = next_parts;
-        state.seeds = next_seeds;
-        if self.cfg.observe && amend {
-            self.registry.counter("engine.amends").inc();
-            self.registry.counter("engine.amend_shards_reused").add(reused);
-            self.registry.counter("engine.amend_shards_solved").add(dirty_solved);
-            self.registry.counter("engine.amend_warm_hits").add(warm_hits);
-            self.registry.counter("engine.amend_warm_misses").add(warm_misses);
-        }
-
-        match solved {
+        let outcome = match solved {
             Ok(deterministic) => {
-                if let Some(key) = self.cfg.cache.then(|| CacheKey::new(&inst, &opts)) {
-                    self.cache.insert(key, deterministic.clone());
+                if self.cfg.cache {
+                    if !decomposed {
+                        self.cache.insert(CacheKey::new(inst, opts), deterministic.clone());
+                    }
                     if self.cfg.observe {
                         self.registry.gauge("engine.cache_entries").set(self.cache.len() as i64);
                     }
@@ -387,7 +353,8 @@ impl Engine {
             }
             Err(Interrupt::TimedOut) => Outcome::TimedOut, // unreachable: sessions never budget
             Err(Interrupt::Panicked(msg)) => Outcome::Failed(format!("solver panicked: {msg}")),
-        }
+        };
+        (outcome, Reuse { reused, solved: dirty_solved })
     }
 }
 
@@ -422,15 +389,22 @@ impl Session<'_> {
         let mut st = self.state.lock().expect("session lock");
         st.instance = apply(&st.instance, delta)?;
         let start = Instant::now();
-        let outcome = self.engine.observed(|| {
+        let (outcome, reuse) = self.engine.observed(|| {
             let _span = obs::Span::enter("amend");
-            self.engine.session_solve(&mut st, true)
+            self.engine.session_solve(&mut st)
         });
         st.outcome = outcome.clone();
         drop(st);
         self.engine.tally(&outcome);
-        if self.engine.cfg.observe {
-            self.engine
+        let engine = self.engine;
+        if engine.cfg.observe {
+            engine.registry.counter("engine.amends").inc();
+            engine.registry.counter("engine.amend_shards_reused").add(reuse.reused);
+            engine.registry.counter("engine.amend_shards_solved").add(reuse.solved);
+            // Deprecated (see the module docs): no warm starts remain.
+            engine.registry.counter("engine.amend_warm_hits").add(0);
+            engine.registry.counter("engine.amend_warm_misses").add(reuse.solved);
+            engine
                 .registry
                 .histogram("engine.amend_ms")
                 .record(start.elapsed().as_secs_f64() * 1e3);
@@ -439,37 +413,11 @@ impl Session<'_> {
     }
 }
 
-/// A shard's absolute time hull `[lo, hi)` (offset undone).
-fn abs_hull(sh: &Shard) -> (i64, i64) {
-    let (lo, hi) = sh.instance.horizon().unwrap_or((0, 0));
-    (sh.offset + lo, sh.offset + hi)
-}
-
-/// The first previous-solve seed overlapping `hull`, if any.
-fn find_seed(seeds: &[(i64, i64, WarmSeed)], hull: (i64, i64)) -> Option<&WarmSeed> {
-    seeds.iter().find(|(lo, hi, _)| *lo < hull.1 && hull.0 < *hi).map(|(_, _, s)| s)
-}
-
-/// Carry every seed overlapping `hull` forward under the new hull (a
-/// spliced shard keeps its region's certificates alive for the amend
-/// that eventually dirties it).
-fn carry_seeds(
-    seeds: &[(i64, i64, WarmSeed)],
-    hull: (i64, i64),
-    out: &mut Vec<(i64, i64, WarmSeed)>,
-) {
-    for (lo, hi, seed) in seeds {
-        if *lo < hull.1 && hull.0 < *hi {
-            out.push((hull.0, hull.1, seed.clone()));
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::batch::EngineConfig;
-    use atsched_core::solver::ShardMode;
+    use atsched_core::solver::{LpPath, ShardMode};
 
     fn inst(g: i64, jobs: Vec<(i64, i64, i64)>) -> Instance {
         Instance::new(g, jobs.into_iter().map(|(r, d, p)| Job::new(r, d, p)).collect()).unwrap()
@@ -610,30 +558,102 @@ mod tests {
         assert!(engine.close_session(b));
     }
 
-    #[test]
-    fn rigid_amends_warm_start_the_lp() {
-        // Fully rigid instances (window length == processing) have
-        // provably unique LP optima, and the LP model depends only on
-        // window *shapes*, not absolute times — so sliding a rigid
-        // instance along the timeline changes its content (dirty, no
-        // splice) while the certificate captured by the previous amend
-        // still proves the new optimum. The simplex never runs.
-        let opts = SolverOptions::exact();
-        let engine = Engine::new(EngineConfig::default().workers(1).cache(false));
-        let session = engine.open_session(inst(2, vec![(0, 4, 4), (0, 4, 4)]), &opts);
-        assert!(session.outcome().is_solved());
+    /// `lp.tree_solved` plus every `lp.tree_fallback.*` reason: one per
+    /// feasible solve that reached the LP stage under `lp_path = auto`.
+    fn lp_attempts(snap: &obs::RegistrySnapshot) -> u64 {
+        [
+            "lp.tree_solved",
+            "lp.tree_fallback.nonunique",
+            "lp.tree_fallback.flow",
+            "lp.tree_fallback.scale",
+            "lp.tree_fallback.overflow",
+        ]
+        .into_iter()
+        .map(|name| snap.counter(name).unwrap_or(0))
+        .sum()
+    }
 
-        // Amend 1: dirty solve, no seed yet (open captures none) — a
-        // warm miss that captures the certificate. Amend 2: dirty again,
-        // hulls overlap, certificate accepted.
-        session.amend(&JobDelta::new().modify_window(0, 1, 5).modify_window(1, 1, 5)).unwrap();
-        session.amend(&JobDelta::new().modify_window(0, 2, 6).modify_window(1, 2, 6)).unwrap();
-        let snap = engine.registry().snapshot();
-        assert_eq!(snap.counter("engine.amend_warm_misses"), Some(1), "{snap:?}");
-        assert_eq!(snap.counter("engine.amend_warm_hits"), Some(1), "{snap:?}");
-        // Bit-identity holds throughout, warm or cold.
-        let cold =
-            Engine::new(EngineConfig::default().cache(false)).solve_one(&session.instance(), &opts);
+    #[test]
+    fn dirty_shards_run_the_cold_lp_paths() {
+        // Cache off: every dirty part reaches the solver, so each one
+        // makes exactly one tree attempt, solved or declined.
+        let engine = Engine::new(EngineConfig::default().workers(1).cache(false));
+        let cold = Engine::new(EngineConfig::default().cache(false));
+
+        // Multi-root: one root re-windowed, one dirty shard.
+        let force = SolverOptions { shard: ShardMode::Force, ..SolverOptions::exact() };
+        let session = engine.open_session(many_root(4), &force);
+        let before = engine.registry().snapshot();
+        let outcome = session.amend(&JobDelta::new().modify_window(4, 13, 17)).unwrap();
+        let after = engine.registry().snapshot();
+        assert_eq!(after.counter("engine.amend_shards_solved"), Some(1), "{after:?}");
+        assert_eq!(lp_attempts(&after) - lp_attempts(&before), 1, "{after:?}");
+        assert_bit_identical(&outcome, &cold.solve_one(&session.instance(), &force));
+
+        // Rigid single root slid along the timeline: dirty (new content),
+        // and its pinned LP optimum is answered by the tree path.
+        let opts = SolverOptions::exact();
+        let session = engine.open_session(inst(2, vec![(0, 4, 4), (0, 4, 4)]), &opts);
+        let before = engine.registry().snapshot();
+        let outcome =
+            session.amend(&JobDelta::new().modify_window(0, 1, 5).modify_window(1, 1, 5)).unwrap();
+        let after = engine.registry().snapshot();
+        let solved = |s: &obs::RegistrySnapshot| s.counter("engine.amend_shards_solved").unwrap();
+        assert_eq!(solved(&after) - solved(&before), 1);
+        assert_eq!(lp_attempts(&after) - lp_attempts(&before), 1, "{after:?}");
+        let tree = |s: &obs::RegistrySnapshot| s.counter("lp.tree_solved").unwrap_or(0);
+        assert_eq!(tree(&after) - tree(&before), 1, "{after:?}");
+        assert_bit_identical(&outcome, &cold.solve_one(&session.instance(), &opts));
+
+        // The deprecated warm-start counters stay registered: no hits,
+        // one miss per dirty part.
+        assert_eq!(after.counter("engine.amend_warm_hits"), Some(0));
+        assert_eq!(after.counter("engine.amend_warm_misses"), Some(solved(&after)));
+    }
+
+    #[test]
+    fn sessions_honour_lp_path_like_cold_solves() {
+        // The rigid instance is tree-solved; a forced-simplex session must
+        // not touch the tree path, and a forced-tree one must.
+        let rigid = inst(2, vec![(0, 4, 4), (0, 4, 4)]);
+        for path in [LpPath::Simplex, LpPath::Tree] {
+            let opts = SolverOptions::exact().with_lp_path(path);
+            let engine = Engine::new(EngineConfig::default().cache(false));
+            let session = engine.open_session(rigid.clone(), &opts);
+            let tree = engine.registry().snapshot().counter("lp.tree_solved");
+            let expected = (path == LpPath::Tree).then_some(1);
+            assert_eq!(tree, expected, "{path:?}");
+            let cold = Engine::new(EngineConfig::default().cache(false)).solve_one(&rigid, &opts);
+            assert_bit_identical(&session.outcome(), &cold);
+        }
+    }
+
+    #[test]
+    fn only_undecomposed_session_solves_cache_the_whole_instance() {
+        let force = SolverOptions { shard: ShardMode::Force, ..SolverOptions::exact() };
+
+        // Decomposed: the four roots normalize to one shard key, and the
+        // shard entries are all the session adds to the cache.
+        let engine = Engine::new(EngineConfig::default().workers(1));
+        let session = engine.open_session(many_root(4), &force);
+        assert_eq!(engine.cache_len(), 1);
+        session.amend(&JobDelta::new().modify_window(4, 13, 17)).unwrap();
+        assert_eq!(engine.cache_len(), 2, "one new shard entry, no merged copy");
+        // A cold solve of the session's instance misses the whole-instance
+        // key and is rebuilt from the four cached shards plus one merge.
+        let cold = engine.solve_one(&session.instance(), &force);
+        assert!(!cold.as_solved().expect("solved").cached);
+        assert_eq!(engine.registry().snapshot().counter("engine.shard_cache_hits"), Some(4));
+        assert_bit_identical(&session.outcome(), &cold);
+
+        // Undecomposed (one root): the whole instance is the only entry,
+        // and a cold solve of it is a cache hit.
+        let engine = Engine::new(EngineConfig::default().workers(1));
+        let single = inst(2, vec![(0, 8, 2), (1, 4, 1), (5, 7, 1)]);
+        let session = engine.open_session(single.clone(), &force);
+        assert_eq!(engine.cache_len(), 1);
+        let cold = engine.solve_one(&single, &force);
+        assert!(cold.as_solved().expect("solved").cached);
         assert_bit_identical(&session.outcome(), &cold);
     }
 }

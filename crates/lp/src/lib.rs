@@ -50,10 +50,8 @@ mod presolve;
 mod scalar;
 mod simplex;
 mod verify;
-mod warm;
 
 pub use hybrid::{FallbackReason, HybridOutcome};
 pub use model::{Cmp, LpError, LpStatus, Model, Solution, SolveInfo, VarId};
 pub use scalar::{scalar_from_int, Scalar};
 pub use verify::VerifyError;
-pub use warm::WarmDecline;

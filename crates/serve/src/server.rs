@@ -1054,6 +1054,17 @@ fn session_outcome_response(
     resp.with_version(PROTOCOL_VERSION).with_session(session)
 }
 
+/// Hand-off of an engine session opened under a budget, between the
+/// budget thread and the caller waiting on it (see [`execute_open`]).
+enum OpenClaim {
+    /// Neither side has finished.
+    Pending,
+    /// The budget thread opened this session before the caller gave up.
+    Opened(SessionId),
+    /// The caller gave up; the budget thread closes what it opens.
+    Abandoned,
+}
+
 fn execute_open(
     shared: &Arc<Shared>,
     shard_idx: usize,
@@ -1071,14 +1082,34 @@ fn execute_open(
             Ok((session.id(), session.outcome()))
         }
         Some(budget) => {
+            // The budget thread runs on after a timeout and still opens
+            // its engine session. Whichever of it and this caller takes
+            // the claim second closes that orphan, so exactly one does.
+            let claim = Arc::new(Mutex::new(OpenClaim::Pending));
+            let worker_claim = Arc::clone(&claim);
             let engine_shared = Arc::clone(shared);
-            with_budget(
+            let opened = with_budget(
                 move || {
-                    let session = engine_shared.shards[shard_idx].engine.open_session(inst, &opts);
+                    let engine = &engine_shared.shards[shard_idx].engine;
+                    let session = engine.open_session(inst, &opts);
+                    let mut claim = worker_claim.lock().expect("open claim lock");
+                    if matches!(*claim, OpenClaim::Abandoned) {
+                        engine.close_session(session.id());
+                    } else {
+                        *claim = OpenClaim::Opened(session.id());
+                    }
                     (session.id(), session.outcome())
                 },
                 budget,
-            )
+            );
+            if opened.is_err() {
+                let mut claim = claim.lock().expect("open claim lock");
+                if let OpenClaim::Opened(orphan) = *claim {
+                    shared.shards[shard_idx].engine.close_session(orphan);
+                }
+                *claim = OpenClaim::Abandoned;
+            }
+            opened
         }
     };
     let elapsed_ms = start.elapsed().as_secs_f64() * 1e3;
@@ -1102,11 +1133,8 @@ fn execute_open(
                 timeout,
             )
         }
-        // The budget thread keeps running detached on a timeout, so the
-        // engine session it opens is unreachable wire-side; it was
-        // never registered, and the engine table drops it with the
-        // server. Opens are expected to fit their budget; this is the
-        // honest failure mode.
+        // The engine session a late budget thread opens is closed by
+        // the claim handshake above; it never reaches the wire table.
         Err(Interrupt::TimedOut) => {
             deadline_response(id, verb::OPEN, timeout).with_version(PROTOCOL_VERSION)
         }

@@ -7,6 +7,9 @@ use atsched_serve::{
     kind, verb, Client, ClientError, DeltaSpec, Request, Server, ServerConfig, ServerHandle,
     PROTOCOL_VERSION,
 };
+use nested_active_time::workloads::generators::{
+    random_multi_root, LaminarConfig, MultiRootConfig,
+};
 use nested_active_time::Solve;
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
@@ -103,6 +106,48 @@ fn bad_and_infeasible_amends_keep_the_session_usable() {
     // Removing the overload (now job id 2) repairs it.
     let repaired = client.amend(session, &DeltaSpec::new().remove(2)).expect("repair");
     assert_eq!(repaired.active_slots, cold_active_slots(&inst));
+
+    client.shutdown().expect("drain");
+    handle.join().unwrap();
+}
+
+#[test]
+fn timed_out_opens_leave_no_engine_session_behind() {
+    // A 48-root open takes far longer than 1 ms: the opens below time
+    // out while their budget threads go on to open engine sessions.
+    let handle = spawn_server(ServerConfig::default().workers(2));
+    let mut client = Client::connect(handle.addr()).unwrap();
+    let cfg = MultiRootConfig {
+        base: LaminarConfig { g: 4, horizon: 48, ..LaminarConfig::default() },
+        roots: 48,
+        gap: 1,
+    };
+    let mut timed_out = 0;
+    for seed in 0..20u64 {
+        // Distinct seeds: no open is answered from the solve cache.
+        let inst = random_multi_root(&cfg, 1000 * seed);
+        let resp = client.request(Request::open(&inst).with_timeout_ms(1)).expect("open reply");
+        match resp.error {
+            Some(err) if err.kind == kind::TIMED_OUT => timed_out += 1,
+            Some(err) => panic!("unexpected open error: {} {}", err.kind, err.message),
+            None => client.close(resp.session.expect("session id")).expect("close"),
+        }
+    }
+    assert!(timed_out > 0, "no open timed out; the test needs a bigger instance");
+
+    // Once the abandoned opens finish, the engine holds exactly the wire
+    // table's sessions: none.
+    let mut engine_open = None;
+    for _ in 0..300 {
+        let stats = client.stats().expect("stats");
+        assert_eq!(stats.sessions_open, 0);
+        engine_open = stats.registry.gauge("engine.sessions_open");
+        if engine_open == Some(0) {
+            break;
+        }
+        std::thread::sleep(Duration::from_millis(50));
+    }
+    assert_eq!(engine_open, Some(0), "{timed_out} timed-out opens left engine sessions open");
 
     client.shutdown().expect("drain");
     handle.join().unwrap();

@@ -8,14 +8,17 @@
 //! Lemma 4.1 support-structure certificate holds.
 //!
 //! The cold reference engine runs with its cache *off*, so nothing the
-//! session reuses (spliced shards, cached parts, warm LP starts) can
-//! leak into the baseline.
+//! session reuses (spliced shards, cached parts) can leak into the
+//! baseline. Sessions must match it under every LP option too: the
+//! property draws `lp_path` and `precision`, and a forced tree path that
+//! declines fails the session exactly as it fails the cold solve.
 
 use nested_active_time::core::certify::check_lemma_4_1;
 use nested_active_time::core::delta::{apply, JobDelta};
 use nested_active_time::core::instance::{Instance, Job};
-use nested_active_time::core::solver::{ShardMode, SolverOptions};
+use nested_active_time::core::solver::{LpPath, PrecisionMode, ShardMode, SolverOptions};
 use nested_active_time::engine::{Engine, EngineConfig, Outcome};
+use nested_active_time::workloads::generators::{random_laminar, LaminarConfig};
 use proptest::prelude::*;
 
 /// Each root block occupies `[16b, 16b + 8)`; dyadic windows inside a
@@ -126,7 +129,9 @@ fn assert_matches_cold(
             }
         }
         (Outcome::Infeasible, Outcome::Infeasible) => {}
-        (Outcome::Failed(_), Outcome::Failed(_)) => {}
+        (Outcome::Failed(s), Outcome::Failed(r)) => {
+            prop_assert_eq!(s, r, "{}: failures diverged", label);
+        }
         (got, want) => {
             return Err(TestCaseError::Fail(format!(
                 "{label}: session said {}, cold solve said {}",
@@ -146,6 +151,8 @@ proptest! {
         base_jobs in proptest::collection::vec(any::<u32>(), 2..10),
         deltas in proptest::collection::vec(proptest::collection::vec(op(4), 1..4), 1..4),
         shard_force in any::<bool>(),
+        lp_path in 0usize..3,
+        exact_precision in any::<bool>(),
     ) {
         // Deterministically place the base jobs using the dyadic grid.
         let jobs: Vec<Job> = base_jobs
@@ -163,7 +170,9 @@ proptest! {
             .collect();
         let Ok(base) = Instance::new(2, jobs) else { return Ok(()) };
 
-        let mut opts = SolverOptions::exact();
+        let lp_path = [LpPath::Auto, LpPath::Tree, LpPath::Simplex][lp_path];
+        let precision = if exact_precision { PrecisionMode::Exact } else { PrecisionMode::Hybrid };
+        let mut opts = SolverOptions::exact().with_lp_path(lp_path).with_precision(precision);
         opts.shard = if shard_force { ShardMode::Force } else { ShardMode::Auto };
 
         let engine = Engine::new(EngineConfig::default());
@@ -189,5 +198,39 @@ proptest! {
             assert_matches_cold(&format!("amend {step}"), &expected, &outcome, &cold, &opts)?;
             current = expected;
         }
+    }
+}
+
+/// Two corpus trees (`random_laminar`, g = 4, horizon 48) on which the
+/// tree path declines. Forced `lp_path = tree` must fail the session's
+/// opening solve and an amend of it, exactly as it fails a cold solve;
+/// a session may not quietly fall back to the simplex.
+#[test]
+fn forced_tree_path_declines_in_sessions_like_cold_solves() {
+    let cfg = LaminarConfig { g: 4, horizon: 48, ..LaminarConfig::default() };
+    let opts = SolverOptions::exact().with_lp_path(LpPath::Tree);
+    let cold = Engine::new(EngineConfig::default().cache(false));
+    for seed in [3u64, 4] {
+        let inst = random_laminar(&cfg, seed);
+        let engine = Engine::new(EngineConfig::default());
+        let session = engine.open_session(inst.clone(), &opts);
+        let (Outcome::Failed(got), Outcome::Failed(want)) =
+            (session.outcome(), cold.solve_one(&inst, &opts))
+        else {
+            panic!("seed {seed}: session and cold solve must both fail under lp_path = tree");
+        };
+        assert_eq!(got, want, "seed {seed}");
+
+        // Growing the instance adds a second root; the declining tree
+        // still fails the amend, as it fails the cold solve.
+        let delta = JobDelta::new().add(Job::new(cfg.horizon + 1, cfg.horizon + 3, 1));
+        let amended = session.amend(&delta).expect("delta applies");
+        let reference = cold.solve_one(&session.instance(), &opts);
+        assert!(
+            matches!((&amended, &reference), (Outcome::Failed(a), Outcome::Failed(b)) if a == b),
+            "seed {seed}: amend said {}, cold solve said {}",
+            amended.label(),
+            reference.label()
+        );
     }
 }
