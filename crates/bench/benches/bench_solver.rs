@@ -1,11 +1,11 @@
-//! End-to-end solver bench (E7): the full 9/5 pipeline per backend, plus
-//! the individual non-LP stages.
+//! End-to-end solver bench (E7): the full 9/5 pipeline per LP strategy,
+//! plus the individual non-LP stages.
 
 use atsched_core::canonical::canonicalize;
 use atsched_core::lp_model::build;
 use atsched_core::opt23;
 use atsched_core::rounding::round;
-use atsched_core::solver::{solve_nested, LpBackend, SolverOptions};
+use atsched_core::solver::{solve_nested, SolverOptions};
 use atsched_core::transform::push_down;
 use atsched_core::tree::Forest;
 use atsched_num::Ratio;
@@ -29,12 +29,11 @@ fn bench_pipeline(c: &mut Criterion) {
     group.sample_size(10);
     for horizon in [16i64, 32, 64] {
         let inst = random_laminar(&cfg(horizon), 5);
-        group.bench_with_input(BenchmarkId::new("exact", horizon), &horizon, |b, _| {
+        group.bench_with_input(BenchmarkId::new("certified", horizon), &horizon, |b, _| {
             b.iter(|| solve_nested(&inst, &SolverOptions::exact()).unwrap())
         });
         group.bench_with_input(BenchmarkId::new("f64", horizon), &horizon, |b, _| {
-            let opts = SolverOptions { backend: LpBackend::Float, ..SolverOptions::exact() };
-            b.iter(|| solve_nested(&inst, &opts).unwrap())
+            b.iter(|| solve_nested(&inst, &SolverOptions::float()).unwrap())
         });
     }
     group.finish();

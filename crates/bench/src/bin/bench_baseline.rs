@@ -7,15 +7,14 @@
 //! from the `span.*` histograms, algorithm counters (LP pivots, flow
 //! augmentations), end-to-end solve percentiles, and the measured
 //! instrumentation overhead. An `lp_hybrid` section re-runs the corpus
-//! once per precision mode and records the lp-stage p50 under
-//! `precision=hybrid` vs `precision=exact`, the speedup between them,
-//! and the hybrid verify/fallback counters (the fallback rate is the
-//! honesty figure: how often the f64-first path had to re-solve
-//! exactly). An `lp_tree` section prices the LP-free combinatorial
-//! path: lp-stage p50 on the pinned-optima unit-blocks/shallow-nest
-//! families under `lp-path=auto` vs the forced simplex, plus how much
-//! of the main corpus the tree DP absorbed and the per-reason fallback
-//! counters. CI uploads the file as an artifact so future PRs can diff
+//! once per LP strategy and records the lp-stage p50 under
+//! `lp=certified` vs `lp=exact`, the speedup between them, and the
+//! hybrid verify/fallback counters (the fallback rate is the honesty
+//! figure: how often the f64-first path had to re-solve exactly). An
+//! `lp_tree` section prices the LP-free combinatorial path: lp-stage
+//! p50 on the pinned-optima unit-blocks/shallow-nest families under
+//! `lp=certified` vs `lp=exact`, plus how much of the main corpus the
+//! tree DP absorbed and the per-reason fallback counters. CI uploads the file as an artifact so future PRs can diff
 //! the perf trajectory.
 //!
 //! ```text
@@ -63,7 +62,7 @@
 
 use atsched_core::delta::JobDelta;
 use atsched_core::instance::Instance;
-use atsched_core::solver::{solve_nested, LpPath, PrecisionMode, ShardMode, SolverOptions};
+use atsched_core::solver::{solve_nested, LpStrategy, ShardMode, SolverOptions};
 use atsched_engine::{solve_nested_sharded, Engine, EngineConfig, Outcome};
 use atsched_obs as obs;
 use atsched_serve::{run_load, Client, LoadConfig, Server, ServerConfig};
@@ -819,26 +818,28 @@ fn run_corpus(args: &[String]) -> Result<Vec<(String, Value)>, String> {
         ])
     };
 
-    // Hybrid-precision LP: lp-stage p50 with the f64-first exactly
-    // verified pipeline vs the pure big-rational simplex, plus how often
-    // the certificate declined and the exact fallback ran. Results are
-    // bit-identical by construction; this section prices the fast path.
-    let lp_hybrid_section = {
-        let run_mode = |precision: PrecisionMode| -> obs::RegistrySnapshot {
-            let reg = Arc::new(obs::Registry::new());
-            let mode_opts = SolverOptions { precision, ..opts.clone() };
-            for _ in 0..runs {
-                for inst in &instances {
-                    let collector = obs::Collector::new(Arc::clone(&reg));
-                    obs::with_collector(collector, || {
-                        solve_nested(inst, &mode_opts).expect("bench corpus is feasible");
-                    });
-                }
+    // Certified LP vs the exact reference: lp-stage p50 of the default
+    // tree → f64-first → exact chain against the pure big-rational
+    // simplex, plus how often the hybrid certificate declined and the
+    // exact fallback ran. Results are bit-identical by construction;
+    // this section prices the fast path. The keys keep their pre-
+    // `LpStrategy` names so older baselines stay comparable.
+    let run_lp = |lp: LpStrategy, insts: &[Instance]| -> obs::RegistrySnapshot {
+        let reg = Arc::new(obs::Registry::new());
+        let lp_opts = SolverOptions { lp, ..opts.clone() };
+        for _ in 0..runs {
+            for inst in insts {
+                let collector = obs::Collector::new(Arc::clone(&reg));
+                obs::with_collector(collector, || {
+                    solve_nested(inst, &lp_opts).expect("bench corpus is feasible");
+                });
             }
-            reg.snapshot()
-        };
-        let hybrid = run_mode(PrecisionMode::Hybrid);
-        let exact = run_mode(PrecisionMode::Exact);
+        }
+        reg.snapshot()
+    };
+    let lp_hybrid_section = {
+        let hybrid = run_lp(LpStrategy::Certified, &instances);
+        let exact = run_lp(LpStrategy::Exact, &instances);
         let hybrid_p50 = hybrid.histogram("span.lp.ms").map_or(0.0, |h| h.p50);
         let exact_p50 = exact.histogram("span.lp.ms").map_or(0.0, |h| h.p50);
         let verified = hybrid.counter("lp.hybrid_verified").unwrap_or(0);
@@ -847,7 +848,7 @@ fn run_corpus(args: &[String]) -> Result<Vec<(String, Value)>, String> {
         let fallback_rate = if attempts > 0 { fallbacks as f64 / attempts as f64 } else { 0.0 };
         let speedup = if hybrid_p50 > 0.0 { exact_p50 / hybrid_p50 } else { 1.0 };
         eprintln!(
-            "lp_hybrid: lp p50 hybrid {hybrid_p50:.3} ms vs exact {exact_p50:.3} ms \
+            "lp_hybrid: lp p50 certified {hybrid_p50:.3} ms vs exact {exact_p50:.3} ms \
              ({speedup:.2}x; {fallbacks}/{attempts} fallbacks, rate {fallback_rate:.3})"
         );
         Value::Map(vec![
@@ -863,32 +864,19 @@ fn run_corpus(args: &[String]) -> Result<Vec<(String, Value)>, String> {
     let snapshot = registry.snapshot();
 
     // LP-free combinatorial tree path: lp-stage p50 on the pinned-optima
-    // families (unit-blocks + shallow-nest) with `lp-path=auto` vs the
-    // forced simplex, plus how much of the *main* corpus the tree path
+    // families (unit-blocks + shallow-nest) under `lp=certified` vs the
+    // exact simplex, plus how much of the *main* corpus the tree path
     // absorbed and why the remainder fell back. Results are
     // bit-identical by construction (`atsched batch --check` proves it
     // corpus-wide); this section prices the fast path.
     let lp_tree_section = {
-        let run_path = |path: LpPath, insts: &[Instance]| -> obs::RegistrySnapshot {
-            let reg = Arc::new(obs::Registry::new());
-            let mode_opts = SolverOptions { lp_path: path, ..opts.clone() };
-            for _ in 0..runs {
-                for inst in insts {
-                    let collector = obs::Collector::new(Arc::clone(&reg));
-                    obs::with_collector(collector, || {
-                        solve_nested(inst, &mode_opts).expect("family corpus is feasible");
-                    });
-                }
-            }
-            reg.snapshot()
-        };
         let mut families: Vec<Instance> = Vec::new();
         for i in 0..5usize {
             families.push(unit_blocks(3 + i, 4 + i, 3, 3));
             families.push(shallow_nest(2 + i, 4, 2));
         }
-        let tree = run_path(LpPath::Auto, &families);
-        let simplex = run_path(LpPath::Simplex, &families);
+        let tree = run_lp(LpStrategy::Certified, &families);
+        let simplex = run_lp(LpStrategy::Exact, &families);
         let tree_p50 = tree.histogram("span.lp.ms").map_or(0.0, |h| h.p50);
         let simplex_p50 = simplex.histogram("span.lp.ms").map_or(0.0, |h| h.p50);
         let family_solved = tree.counter("lp.tree_solved").unwrap_or(0);
@@ -898,7 +886,7 @@ fn run_corpus(args: &[String]) -> Result<Vec<(String, Value)>, String> {
             .sum();
         let speedup = if tree_p50 > 0.0 { simplex_p50 / tree_p50 } else { 1.0 };
         // Main-corpus absorption, from the instrumented engine run
-        // above (`opts` defaults to `lp-path=auto`).
+        // above (`opts` defaults to `lp=certified`).
         let fb = |k: &str| snapshot.counter(&format!("lp.tree_fallback.{k}")).unwrap_or(0);
         let corpus_solved = snapshot.counter("lp.tree_solved").unwrap_or(0);
         let (fb_nonunique, fb_flow, fb_scale, fb_overflow) =

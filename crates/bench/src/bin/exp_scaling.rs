@@ -1,8 +1,8 @@
-//! E7: runtime scaling of the pipeline stages for both backends, measured
-//! through the batch engine's per-stage instrumentation.
+//! E7: runtime scaling of the pipeline stages for each LP strategy,
+//! measured through the batch engine's per-stage instrumentation.
 //!
 //! For each horizon a small corpus of random laminar instances is pushed
-//! through [`atsched_engine::Engine::solve_batch`] once per backend; the
+//! through [`atsched_engine::Engine::solve_batch`] once per strategy; the
 //! batch report's stage percentiles (canonicalize / LP / transform /
 //! round / extract / verify) come from [`atsched_core::StageTimings`]
 //! recorded inside `solve_nested` itself, so there is no wrapper-timing
@@ -11,7 +11,7 @@
 //! Usage: `exp_scaling [instances_per_cell]` (default 8).
 
 use atsched_bench::table::Table;
-use atsched_core::solver::{LpBackend, SolverOptions};
+use atsched_core::solver::{LpStrategy, SolverOptions};
 use atsched_engine::{Engine, EngineConfig, Outcome};
 use atsched_workloads::generators::{random_laminar, LaminarConfig};
 
@@ -21,7 +21,7 @@ fn main() {
     let mut t = Table::new(&[
         "horizon",
         "jobs",
-        "backend",
+        "lp",
         "solve p50 ms",
         "solve max ms",
         "lp p50 ms",
@@ -44,12 +44,8 @@ fn main() {
         let jobs = corpus.iter().map(|i| i.num_jobs()).sum::<usize>() / corpus.len();
 
         let mut lp_values: Vec<Vec<f64>> = Vec::new();
-        for (name, backend) in [
-            ("exact", LpBackend::Exact),
-            ("f64", LpBackend::Float),
-            ("snap", LpBackend::FloatThenSnap),
-        ] {
-            let opts = SolverOptions { backend, ..SolverOptions::exact() };
+        for lp in [LpStrategy::Certified, LpStrategy::Exact, LpStrategy::Float] {
+            let opts = SolverOptions { lp, ..SolverOptions::exact() };
             let batch = engine.solve_batch(&corpus, &opts);
             assert_eq!(batch.report.solved, corpus.len(), "generator guarantees feasibility");
             let solved: Vec<_> = batch.outcomes.iter().filter_map(Outcome::as_solved).collect();
@@ -58,7 +54,7 @@ fn main() {
             t.row(vec![
                 horizon.to_string(),
                 jobs.to_string(),
-                name.to_string(),
+                lp.label().to_string(),
                 format!("{:.1}", batch.report.latency_ms.p50),
                 format!("{:.1}", batch.report.latency_ms.max),
                 format!("{:.2}", batch.report.stages_ms.lp.p50),
@@ -66,14 +62,15 @@ fn main() {
                 active.to_string(),
             ]);
         }
-        // All three backends must agree on every LP value.
-        for (a, b) in lp_values[0].iter().zip(&lp_values[1]) {
-            assert!((a - b).abs() / a.max(1.0) < 1e-6, "exact vs f64 LP mismatch: {a} vs {b}");
-        }
+        // Certified is bit-identical to exact; float agrees to rounding.
+        assert_eq!(lp_values[0], lp_values[1], "certified vs exact LP mismatch");
         for (a, b) in lp_values[1].iter().zip(&lp_values[2]) {
-            assert!((a - b).abs() < 1e-6, "f64 vs snap LP mismatch: {a} vs {b}");
+            assert!((a - b).abs() / a.max(1.0) < 1e-6, "exact vs float LP mismatch: {a} vs {b}");
         }
     }
     println!("{}", t.render());
-    println!("Expected shape: f64 backend scales far better; all backends agree on LP values.");
+    println!(
+        "Expected shape: the exact simplex dominates and grows fastest; certified stays within \
+         a small factor of float; certified equals exact bit for bit, float agrees to 1e-6."
+    );
 }

@@ -147,14 +147,8 @@ fn cmd_solve(client: &mut Client, args: &[String]) -> Result<(), String> {
     if let Some(method) = crate::flag_value(args, "--method") {
         req = req.with_method(method);
     }
-    if let Some(backend) = crate::flag_value(args, "--backend") {
-        req = req.with_backend(backend);
-    }
-    if let Some(precision) = crate::flag_value(args, "--precision") {
-        req = req.with_precision(precision);
-    }
-    if let Some(lp_path) = crate::flag_value(args, "--lp-path") {
-        req = req.with_lp_path(lp_path);
+    if let Some(lp) = crate::flag_value(args, "--lp") {
+        req = req.with_lp(lp.parse()?);
     }
     if crate::has_flag(args, "--polish") {
         req = req.with_polish(true);

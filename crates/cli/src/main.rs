@@ -3,7 +3,7 @@
 //!
 //! ```text
 //! atsched generate --g 3 --horizon 24 --seed 7 --out inst.json
-//! atsched solve inst.json [--float|--snap] [--polish] [--no-ceiling] [--schedule out.json] [--metrics]
+//! atsched solve inst.json [--lp certified|exact|float] [--polish] [--no-ceiling] [--schedule out.json] [--metrics]
 //! atsched batch [inst.json ...] [--count N] [--workers N] [--no-cache] [--timeout-ms N] [--check]
 //!               [--trace-out trace.json]
 //! atsched opt inst.json [--parallel]
@@ -29,9 +29,9 @@ use nested_active_time::baselines::incremental::minimal_feasible_fast;
 use nested_active_time::core::instance::Instance;
 use nested_active_time::core::schedule::Schedule;
 use nested_active_time::core::solver::{
-    solve_nested, LpBackend, LpPath, PrecisionMode, ShardMode, SolverOptions,
+    solve_nested, LpStrategy, ShardMode, SolveResult, SolverOptions,
 };
-use nested_active_time::engine::solve_nested_sharded;
+use nested_active_time::engine::{solve_nested_sharded, Engine, EngineConfig, Outcome};
 use nested_active_time::workloads::generators::{
     random_laminar, random_multi_root, LaminarConfig, MultiRootConfig,
 };
@@ -73,13 +73,11 @@ atsched — nested active-time scheduling (SPAA 2022 reproduction)
 
 USAGE:
   atsched generate [--g N] [--horizon N] [--seed N] [--roots N] [--gap N] [--child-percent N] [--out FILE]
-  atsched solve INSTANCE.{json,txt} [--float|--snap] [--polish] [--no-ceiling] [--shard auto|off|force]
-                [--precision hybrid|exact|f64-unchecked] [--lp-path auto|tree|simplex]
-                [--schedule FILE] [--svg FILE] [--metrics]
+  atsched solve INSTANCE.{json,txt} [--lp certified|exact|float] [--polish] [--no-ceiling]
+                [--shard auto|off|force] [--schedule FILE] [--svg FILE] [--metrics]
   atsched batch [INSTANCE ...] [--count N] [--g N] [--horizon N] [--seed N] [--roots N]
-                [--workers N] [--no-cache] [--timeout-ms N] [--float|--snap] [--polish]
-                [--shard auto|off|force] [--precision hybrid|exact|f64-unchecked]
-                [--lp-path auto|tree|simplex] [--check] [--keep-going] [--out FILE] [--trace-out FILE]
+                [--workers N] [--no-cache] [--timeout-ms N] [--lp certified|exact|float] [--polish]
+                [--shard auto|off|force] [--check] [--keep-going] [--out FILE] [--trace-out FILE]
   atsched opt INSTANCE.json [--parallel]
   atsched greedy INSTANCE.json [--order ltr|rtl|rand]
   atsched verify INSTANCE.json SCHEDULE.json
@@ -88,9 +86,8 @@ USAGE:
                 [--max-sessions N] [--session-ttl-ms N] [--delay-ms N]
                 [--metrics-addr HOST:PORT] [--slow-ms N]
   atsched top ADDR [--interval-ms N] [--count N] [--no-clear]
-  atsched client ADDR solve INSTANCE [--method auto|nested|general|greedy] [--backend exact|float|snap]
-                 [--precision hybrid|exact|f64-unchecked] [--lp-path auto|tree|simplex] [--polish]
-                 [--seed N] [--shard auto|off|force] [--timeout-ms N] [--schedule FILE]
+  atsched client ADDR solve INSTANCE [--method auto|nested|general|greedy] [--lp certified|exact|float]
+                 [--polish] [--seed N] [--shard auto|off|force] [--timeout-ms N] [--schedule FILE]
   atsched client ADDR batch INSTANCE [INSTANCE ...]
   atsched client ADDR open INSTANCE | amend SESSION DELTA.json | close SESSION
   atsched client ADDR stats | metrics | health | shutdown
@@ -162,33 +159,28 @@ fn cmd_generate(args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
+/// The `--lp`, `--polish` and `--shard` flags `solve` and `batch` share.
+fn solver_options(args: &[String]) -> Result<SolverOptions, String> {
+    let mut opts = SolverOptions::exact();
+    if let Some(lp) = flag_value(args, "--lp") {
+        opts.lp = lp.parse::<LpStrategy>()?;
+    }
+    opts.polish = has_flag(args, "--polish");
+    if let Some(mode) = flag_value(args, "--shard") {
+        opts.shard = mode.parse::<ShardMode>()?;
+    }
+    Ok(opts)
+}
+
 fn cmd_solve(args: &[String]) -> Result<(), String> {
     use atsched_obs as obs;
     use std::sync::Arc;
 
     let path = args.first().ok_or("solve needs an instance file")?;
     let inst = load(path)?;
-    let mut opts = SolverOptions::exact();
-    if has_flag(args, "--float") {
-        opts.backend = LpBackend::Float;
-    }
-    if has_flag(args, "--snap") {
-        opts.backend = LpBackend::FloatThenSnap;
-    }
-    if has_flag(args, "--polish") {
-        opts.polish = true;
-    }
+    let mut opts = solver_options(args)?;
     if has_flag(args, "--no-ceiling") {
         opts.use_ceiling = false;
-    }
-    if let Some(mode) = flag_value(args, "--shard") {
-        opts.shard = mode.parse::<ShardMode>()?;
-    }
-    if let Some(mode) = flag_value(args, "--precision") {
-        opts.precision = mode.parse::<PrecisionMode>()?;
-    }
-    if let Some(path) = flag_value(args, "--lp-path") {
-        opts.lp_path = path.parse::<LpPath>()?;
     }
     let metrics = has_flag(args, "--metrics");
     let registry = Arc::new(obs::Registry::new());
@@ -238,8 +230,6 @@ fn cmd_solve(args: &[String]) -> Result<(), String> {
 /// is given, `N` generated laminar instances (seeds `--seed`,
 /// `--seed + 1`, …).
 fn cmd_batch(args: &[String]) -> Result<(), String> {
-    use nested_active_time::engine::{Engine, EngineConfig, Outcome};
-
     let mut instances = Vec::new();
     for path in args.iter().take_while(|a| !a.starts_with("--")) {
         instances.push(load(path)?);
@@ -271,26 +261,7 @@ fn cmd_batch(args: &[String]) -> Result<(), String> {
         return Err("batch needs instance files and/or --count N".into());
     }
 
-    let mut opts = SolverOptions::exact();
-    if has_flag(args, "--float") {
-        opts.backend = LpBackend::Float;
-    }
-    if has_flag(args, "--snap") {
-        opts.backend = LpBackend::FloatThenSnap;
-    }
-    if has_flag(args, "--polish") {
-        opts.polish = true;
-    }
-    if let Some(mode) = flag_value(args, "--shard") {
-        opts.shard = mode.parse::<ShardMode>()?;
-    }
-    if let Some(mode) = flag_value(args, "--precision") {
-        opts.precision = mode.parse::<PrecisionMode>()?;
-    }
-    if let Some(path) = flag_value(args, "--lp-path") {
-        opts.lp_path = path.parse::<LpPath>()?;
-    }
-
+    let opts = solver_options(args)?;
     let mut cfg = EngineConfig::default()
         .workers(parse_num(args, "--workers", 0usize)?)
         .cache(!has_flag(args, "--no-cache"));
@@ -312,127 +283,32 @@ fn cmd_batch(args: &[String]) -> Result<(), String> {
     }
 
     if has_flag(args, "--check") {
-        let sequential = Engine::new(EngineConfig::default().workers(1).cache(false))
-            .solve_batch(&instances, &opts);
-        for (i, (par, seq)) in batch.outcomes.iter().zip(&sequential.outcomes).enumerate() {
-            let same = match (par, seq) {
-                (Outcome::Solved(a), Outcome::Solved(b)) => a.result.schedule == b.result.schedule,
-                (Outcome::Infeasible, Outcome::Infeasible) => true,
-                // A timeout is inherently racy; don't fail the check on it.
-                (Outcome::TimedOut, _) | (_, Outcome::TimedOut) => true,
-                _ => false,
-            };
-            if !same {
-                return Err(format!(
-                    "instance {i}: parallel outcome {} != sequential {}",
-                    par.label(),
-                    seq.label()
-                ));
-            }
-        }
-        eprintln!(
-            "check: parallel results identical to sequential on {} instances",
-            instances.len()
-        );
+        let n = instances.len();
+        let pool = |workers| Engine::new(EngineConfig::default().workers(workers).cache(false));
+        let sequential = pool(1).solve_batch(&instances, &opts);
+        compare_outcomes(
+            "parallel",
+            &batch.outcomes,
+            "sequential",
+            &sequential.outcomes,
+            |a, b| a.schedule == b.schedule,
+        )?;
+        eprintln!("check: parallel results identical to sequential on {n} instances");
 
         // Shard equivalence: forcing root decomposition must not change
         // the objective relative to the monolithic solve.
-        let mut forced = opts.clone();
-        forced.shard = ShardMode::Force;
-        let mut off = opts.clone();
-        off.shard = ShardMode::Off;
-        let fb = Engine::new(EngineConfig::default().cache(false)).solve_batch(&instances, &forced);
-        let ob = Engine::new(EngineConfig::default().workers(1).cache(false))
-            .solve_batch(&instances, &off);
-        for (i, (f, o)) in fb.outcomes.iter().zip(&ob.outcomes).enumerate() {
-            let same = match (f, o) {
-                (Outcome::Solved(a), Outcome::Solved(b)) => {
-                    a.result.stats.opened_slots == b.result.stats.opened_slots
-                        && a.result.schedule.active_time() == b.result.schedule.active_time()
-                }
-                (Outcome::Infeasible, Outcome::Infeasible) => true,
-                (Outcome::TimedOut, _) | (_, Outcome::TimedOut) => true,
-                _ => false,
-            };
-            if !same {
-                return Err(format!(
-                    "instance {i}: shard=force outcome {} diverges from shard=off {}",
-                    f.label(),
-                    o.label()
-                ));
-            }
-        }
-        eprintln!(
-            "check: shard=force objectives identical to shard=off on {} instances",
-            instances.len()
-        );
+        let forced = SolverOptions { shard: ShardMode::Force, ..opts.clone() };
+        let off = SolverOptions { shard: ShardMode::Off, ..opts.clone() };
+        let fb = pool(0).solve_batch(&instances, &forced);
+        let ob = pool(1).solve_batch(&instances, &off);
+        compare_outcomes("shard=force", &fb.outcomes, "shard=off", &ob.outcomes, |a, b| {
+            a.stats.opened_slots == b.stats.opened_slots
+                && a.schedule.active_time() == b.schedule.active_time()
+        })?;
+        eprintln!("check: shard=force objectives identical to shard=off on {n} instances");
 
-        // Precision equivalence: the hybrid f64-first LP pipeline must
-        // yield bit-identical schedules to the pure exact simplex.
-        if opts.backend == LpBackend::Exact {
-            let mut hybrid = opts.clone();
-            hybrid.precision = PrecisionMode::Hybrid;
-            let mut pure = opts.clone();
-            pure.precision = PrecisionMode::Exact;
-            let hb =
-                Engine::new(EngineConfig::default().cache(false)).solve_batch(&instances, &hybrid);
-            let pb =
-                Engine::new(EngineConfig::default().cache(false)).solve_batch(&instances, &pure);
-            for (i, (h, p)) in hb.outcomes.iter().zip(&pb.outcomes).enumerate() {
-                let same = match (h, p) {
-                    (Outcome::Solved(a), Outcome::Solved(b)) => {
-                        a.result.schedule == b.result.schedule && a.result.z == b.result.z
-                    }
-                    (Outcome::Infeasible, Outcome::Infeasible) => true,
-                    (Outcome::TimedOut, _) | (_, Outcome::TimedOut) => true,
-                    _ => false,
-                };
-                if !same {
-                    return Err(format!(
-                        "instance {i}: precision=hybrid outcome {} diverges from precision=exact {}",
-                        h.label(),
-                        p.label()
-                    ));
-                }
-            }
-            eprintln!(
-                "check: precision=hybrid schedules bit-identical to precision=exact on {} instances",
-                instances.len()
-            );
-
-            // LP-path equivalence: the combinatorial tree fast path
-            // (with simplex fallback) must yield bit-identical
-            // schedules and open counts to the pure simplex path.
-            let mut tree_auto = opts.clone();
-            tree_auto.lp_path = LpPath::Auto;
-            let mut simplex = opts.clone();
-            simplex.lp_path = LpPath::Simplex;
-            let tb = Engine::new(EngineConfig::default().cache(false))
-                .solve_batch(&instances, &tree_auto);
-            let sb =
-                Engine::new(EngineConfig::default().cache(false)).solve_batch(&instances, &simplex);
-            for (i, (t, s)) in tb.outcomes.iter().zip(&sb.outcomes).enumerate() {
-                let same = match (t, s) {
-                    (Outcome::Solved(a), Outcome::Solved(b)) => {
-                        a.result.schedule == b.result.schedule && a.result.z == b.result.z
-                    }
-                    (Outcome::Infeasible, Outcome::Infeasible) => true,
-                    (Outcome::TimedOut, _) | (_, Outcome::TimedOut) => true,
-                    _ => false,
-                };
-                if !same {
-                    return Err(format!(
-                        "instance {i}: lp-path=auto outcome {} diverges from lp-path=simplex {}",
-                        t.label(),
-                        s.label()
-                    ));
-                }
-            }
-            eprintln!(
-                "check: lp-path=auto schedules bit-identical to lp-path=simplex on {} instances",
-                instances.len()
-            );
-        }
+        check_certified_matches_exact(&instances, &opts)?;
+        eprintln!("check: lp=certified schedules bit-identical to lp=exact on {n} instances");
     }
 
     let json = batch.report.to_json_pretty();
@@ -463,6 +339,52 @@ fn cmd_batch(args: &[String]) -> Result<(), String> {
              pass --keep-going to exit 0 anyway",
             lost, batch.report.total, batch.report.timed_out, batch.report.failed
         ));
+    }
+    Ok(())
+}
+
+/// Solve `instances` under `lp=certified` and under the `lp=exact`
+/// reference (the rest of `opts` unchanged): every schedule and every
+/// open-count vector must be bit-identical.
+fn check_certified_matches_exact(
+    instances: &[Instance],
+    opts: &SolverOptions,
+) -> Result<(), String> {
+    let solve = |lp| {
+        Engine::new(EngineConfig::default().cache(false))
+            .solve_batch(instances, &SolverOptions { lp, ..opts.clone() })
+    };
+    let certified = solve(LpStrategy::Certified);
+    let exact = solve(LpStrategy::Exact);
+    compare_outcomes("lp=certified", &certified.outcomes, "lp=exact", &exact.outcomes, |a, b| {
+        a.schedule == b.schedule && a.z == b.z
+    })
+}
+
+/// Walk two runs over the same corpus and fail on the first instance
+/// whose outcomes differ: both solved but not `same`, or different
+/// verdicts. A timeout on either side is racy and passes.
+fn compare_outcomes(
+    left: &str,
+    a: &[Outcome],
+    right: &str,
+    b: &[Outcome],
+    same: impl Fn(&SolveResult, &SolveResult) -> bool,
+) -> Result<(), String> {
+    for (i, (x, y)) in a.iter().zip(b).enumerate() {
+        let agree = match (x, y) {
+            (Outcome::Solved(p), Outcome::Solved(q)) => same(&p.result, &q.result),
+            (Outcome::Infeasible, Outcome::Infeasible) => true,
+            (Outcome::TimedOut, _) | (_, Outcome::TimedOut) => true,
+            _ => false,
+        };
+        if !agree {
+            return Err(format!(
+                "instance {i}: {left} outcome {} diverges from {right} {}",
+                x.label(),
+                y.label()
+            ));
+        }
     }
     Ok(())
 }
@@ -541,4 +463,41 @@ fn cmd_gaps(args: &[String]) -> Result<(), String> {
     println!("  tree LP    : {}", tree.stats.lp_objective_exact.as_deref().unwrap_or("-"));
     println!("  OPT        : {}", opt.active_time());
     Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use nested_active_time::core::instance::Job;
+
+    #[test]
+    fn certified_exact_check_reports_a_diverging_pair() {
+        let declines =
+            Instance::new(2, vec![Job::new(0, 10, 2), Job::new(1, 6, 2), Job::new(7, 9, 1)])
+                .unwrap();
+        let rigid = Instance::new(2, vec![Job::new(0, 2, 1); 3]).unwrap();
+        let infeasible = Instance::new(1, vec![Job::new(0, 2, 1); 3]).unwrap();
+        let opts = SolverOptions::exact();
+        check_certified_matches_exact(
+            &[declines.clone(), rigid.clone(), infeasible.clone()],
+            &opts,
+        )
+        .unwrap();
+
+        // Line up different instances at one corpus position: the
+        // comparison names the first one whose outcomes diverge.
+        let engine = Engine::new(EngineConfig::default().workers(1));
+        let left = engine.solve_batch(&[rigid.clone(), declines.clone()], &opts).outcomes;
+        let same = |x: &SolveResult, y: &SolveResult| x.schedule == y.schedule;
+        assert!(compare_outcomes("lp=certified", &left, "lp=exact", &left, same).is_ok());
+        let right = engine.solve_batch(&[rigid.clone(), rigid], &opts).outcomes;
+        let err = compare_outcomes("lp=certified", &left, "lp=exact", &right, same).unwrap_err();
+        assert_eq!(err, "instance 1: lp=certified outcome solved diverges from lp=exact solved");
+        let right = engine.solve_batch(&[infeasible, declines], &opts).outcomes;
+        let err = compare_outcomes("lp=certified", &left, "lp=exact", &right, same).unwrap_err();
+        assert_eq!(
+            err,
+            "instance 0: lp=certified outcome solved diverges from lp=exact infeasible"
+        );
+    }
 }

@@ -26,7 +26,7 @@
 
 use crate::instance::{Instance, InstanceError};
 use crate::schedule::Schedule;
-use crate::solver::{SolveResult, SolveStats, StageTimings};
+use crate::solver::{LpAnswer, SolveResult, SolveStats, StageTimings};
 use crate::tree::{Forest, TreeNode};
 use atsched_num::Ratio;
 
@@ -106,8 +106,9 @@ pub fn decompose(inst: &Instance) -> Result<Decomposition, InstanceError> {
 /// shard-local job ids are mapped through [`Shard::jobs`], the canonical
 /// forests are reindexed side by side, and stats/certificate vectors are
 /// summed. The exact LP objective is re-summed over big rationals, so
-/// the merged value matches the monolithic solve's rendering. Stage
-/// timings are summed across shards — they measure work done, not wall
+/// the merged value matches the monolithic solve's rendering; the LP
+/// answer is the costliest one any shard needed. Stage timings are
+/// summed across shards — they measure work done, not wall
 /// clock, when shards ran concurrently.
 ///
 /// `parts` must be positionally parallel to `dec.shards`. The merged
@@ -135,6 +136,7 @@ pub fn merge(inst: &Instance, dec: &Decomposition, parts: &[SolveResult]) -> Sol
         repair_opened: 0,
         polish_closed: 0,
         opened_over_lp: 1.0,
+        lp_answer: LpAnswer::Tree,
         timings: StageTimings::default(),
     };
     let mut exact_sum: Option<Ratio> = Some(Ratio::zero());
@@ -181,7 +183,9 @@ pub fn merge(inst: &Instance, dec: &Decomposition, parts: &[SolveResult]) -> Sol
         stats.repair_opened += s.repair_opened;
         stats.polish_closed += s.polish_closed;
         stats.timings.canonicalize += s.timings.canonicalize;
+        stats.lp_answer = stats.lp_answer.max(s.lp_answer);
         stats.timings.lp += s.timings.lp;
+        stats.timings.lp_declined += s.timings.lp_declined;
         stats.timings.transform += s.timings.transform;
         stats.timings.round += s.timings.round;
         stats.timings.extract += s.timings.extract;

@@ -73,7 +73,7 @@ pub use delta::{DeltaError, DeltaOp, JobDelta};
 pub use instance::{Instance, InstanceError, Job};
 pub use schedule::Schedule;
 pub use solver::{
-    solve_nested, LpBackend, LpPath, PrecisionMode, ShardMode, SolveError, SolveResult, SolveStats,
+    solve_nested, LpAnswer, LpStrategy, ShardMode, SolveError, SolveResult, SolveStats,
     SolverOptions, StageTimings,
 };
 pub use treelp::TreeDecline;

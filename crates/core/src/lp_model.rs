@@ -242,17 +242,15 @@ impl NestedLp<Ratio> {
     /// Solve via the f64-first, exactly-verified hybrid pipeline
     /// ([`Model::solve_hybrid`]) and project onto node space.
     ///
-    /// With `certify = true` the projected solution is bit-identical to
-    /// [`NestedLp::solve`]: either the optimality-and-uniqueness
-    /// certificate proves the float basis yields the exact solver's
-    /// vertex, or the pipeline already fell back to the exact simplex.
-    /// The returned [`HybridOutcome`] says which path was taken.
+    /// The projected solution is bit-identical to [`NestedLp::solve`]:
+    /// either the optimality certificate proves the float basis yields
+    /// the exact solver's vertex, or the pipeline already fell back to
+    /// the exact simplex. The returned [`HybridOutcome`] says which path
+    /// was taken.
     pub fn solve_hybrid(
         &self,
-        certify: bool,
     ) -> Result<(FractionalSolution<Ratio>, HybridOutcome), NestedLpError> {
-        let (sol, _info, outcome) =
-            self.model.solve_hybrid(certify).map_err(NestedLpError::Solver)?;
+        let (sol, _info, outcome) = self.model.solve_hybrid().map_err(NestedLpError::Solver)?;
         match sol.status {
             LpStatus::Optimal => Ok((self.project(&sol), outcome)),
             LpStatus::Infeasible => Err(NestedLpError::Infeasible),

@@ -135,7 +135,7 @@ pub fn round_with<S: Scalar>(
             }
             let pick = match choice {
                 // Total order, not `partial_cmp(..).expect(..)`: a NaN
-                // fraction from a degenerate `f64-unchecked` solve must
+                // fraction from a degenerate `lp=float` solve must
                 // pick deterministically, not panic the solver thread
                 // (the final schedule is re-verified regardless).
                 RoundingChoice::LargestFraction => candidates
@@ -312,7 +312,7 @@ mod tests {
 
     #[test]
     fn nan_fraction_does_not_panic_the_rounder() {
-        // A degenerate `f64-unchecked` solve can hand the rounder a NaN
+        // A degenerate `lp=float` solve can hand the rounder a NaN
         // open count. The candidate picker must stay total — the old
         // `partial_cmp(..).expect("scalars are ordered")` turned that
         // into a solver-thread panic. With `total_cmp` the NaN floors

@@ -4,13 +4,17 @@
 //! Lemma 3.1 push-down → Algorithm 1 rounding → max-flow schedule
 //! extraction → independent verification.
 //!
-//! Two LP backends are offered. The exact backend solves the LP over big
-//! rationals, so every rounding comparison is decided exactly and the
-//! 9/5 guarantee is unconditional. The `f64` backend is much faster on
-//! large instances; because tiny tableau noise could in principle flip a
-//! comparison at a boundary, the final schedule is *always* re-verified,
-//! and a repair pass (counted in [`SolveStats::repair_opened`], normally
-//! zero) can open additional slots if extraction ever falls short.
+//! The LP stage is picked by one knob, [`LpStrategy`]. The default,
+//! [`LpStrategy::Certified`], tries the combinatorial tree DP, then the
+//! f64-first exactly-verified simplex, then the exact simplex, and is
+//! bit-identical to the pure big-rational [`LpStrategy::Exact`]
+//! reference, so every rounding comparison is decided exactly and the
+//! 9/5 guarantee is unconditional. [`LpStrategy::Float`] runs the LP and
+//! rounding in `f64` for sweeps; because tiny tableau noise could in
+//! principle flip a comparison at a boundary, the final schedule is
+//! *always* re-verified, and a repair pass (counted in
+//! [`SolveStats::repair_opened`], normally zero) can open additional
+//! slots if extraction ever falls short.
 
 use crate::canonical::canonicalize;
 use crate::feasibility::{counts_to_slots, extract_assignment};
@@ -27,21 +31,64 @@ use atsched_obs as obs;
 use std::fmt;
 use std::time::{Duration, Instant};
 
-/// Which arithmetic the LP + rounding pipeline runs in.
+/// How the strengthened LP (Fig. 1a) is solved.
+///
+/// Rounding reads one optimum of that LP; the strategy picks the
+/// ordered attempts that produce it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum LpBackend {
-    /// Exact big-rational simplex (reference path; unconditional 9/5).
+pub enum LpStrategy {
+    /// Tree DP ([`crate::treelp`]), then the f64-first, exactly
+    /// verified simplex ([`atsched_lp::Model::solve_hybrid`]), which
+    /// itself falls back to the exact simplex (the default). Each
+    /// attempt either returns the exact optimum or declines, so the
+    /// result is bit-identical to [`LpStrategy::Exact`].
+    Certified,
+    /// Pure big-rational simplex (the reference; unconditional 9/5).
     Exact,
-    /// `f64` simplex with tolerances (fast path for sweeps).
+    /// `f64` simplex and `f64` rounding, for sweeps. The schedule is
+    /// still verified; a repair pass covers float noise.
     Float,
-    /// Hybrid: solve the LP in `f64`, then *rationalize* the solution
-    /// (continued-fraction snapping via
-    /// [`Ratio::from_f64_approx`](atsched_num::Ratio::from_f64_approx))
-    /// and run the transformation + rounding exactly. Falls back to the
-    /// plain float pipeline when the snapped solution fails the exact
-    /// LP-feasibility re-check. Near-float speed with exact rounding
-    /// comparisons.
-    FloatThenSnap,
+}
+
+impl LpStrategy {
+    /// Stable lowercase label (`certified` / `exact` / `float`).
+    pub fn label(&self) -> &'static str {
+        match self {
+            LpStrategy::Certified => "certified",
+            LpStrategy::Exact => "exact",
+            LpStrategy::Float => "float",
+        }
+    }
+}
+
+impl std::str::FromStr for LpStrategy {
+    type Err = String;
+
+    fn from_str(s: &str) -> Result<Self, Self::Err> {
+        match s {
+            "certified" => Ok(LpStrategy::Certified),
+            "exact" => Ok(LpStrategy::Exact),
+            "float" => Ok(LpStrategy::Float),
+            other => Err(format!("unknown lp strategy '{other}' (certified|exact|float)")),
+        }
+    }
+}
+
+/// Which attempt of the [`LpStrategy`] produced the LP optimum.
+///
+/// Ordered by cost, so a merged multi-shard result reports the costliest
+/// attempt any shard needed.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+pub enum LpAnswer {
+    /// The combinatorial tree DP.
+    Tree,
+    /// The f64-first simplex, certified exactly.
+    Hybrid,
+    /// The exact simplex: the [`LpStrategy::Exact`] strategy, or a
+    /// hybrid attempt that fell back.
+    Exact,
+    /// The `f64` simplex ([`LpStrategy::Float`]).
+    Float,
 }
 
 /// Whether a driver may split an instance at the forest roots and solve
@@ -90,104 +137,11 @@ impl std::str::FromStr for ShardMode {
     }
 }
 
-/// Arithmetic discipline for the exact backend's LP stage.
-///
-/// Orthogonal to [`LpBackend`]: only consulted when `backend` is
-/// [`LpBackend::Exact`] (the float backends are approximate by design
-/// and ignore it).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum PrecisionMode {
-    /// f64-first with exact verification (the default): solve the LP in
-    /// `f64`, re-derive the final basis exactly, certify optimality, and
-    /// fall back to the exact simplex on any failure.
-    /// Bit-identical to [`PrecisionMode::Exact`] in every case — see
-    /// [`atsched_lp::Model::solve_hybrid`].
-    Hybrid,
-    /// Pure big-rational simplex (the reference discipline).
-    Exact,
-    /// f64-first with exact re-derivation but *without* the optimality
-    /// certificate: a float mis-pivot could leave the (still exactly
-    /// rational, still LP-feasible) solution suboptimal. For throwaway
-    /// sweeps; the final schedule is re-verified regardless.
-    F64Unchecked,
-}
-
-impl PrecisionMode {
-    /// Stable lowercase label (`hybrid` / `exact` / `f64-unchecked`).
-    pub fn label(&self) -> &'static str {
-        match self {
-            PrecisionMode::Hybrid => "hybrid",
-            PrecisionMode::Exact => "exact",
-            PrecisionMode::F64Unchecked => "f64-unchecked",
-        }
-    }
-}
-
-impl std::str::FromStr for PrecisionMode {
-    type Err = String;
-
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s {
-            "hybrid" => Ok(PrecisionMode::Hybrid),
-            "exact" => Ok(PrecisionMode::Exact),
-            "f64-unchecked" => Ok(PrecisionMode::F64Unchecked),
-            other => Err(format!("unknown precision mode '{other}' (hybrid|exact|f64-unchecked)")),
-        }
-    }
-}
-
-/// Which solver attacks the strengthened LP on the exact backend.
-///
-/// Orthogonal to [`PrecisionMode`]: `precision` picks the *arithmetic*
-/// of the simplex stage, `lp_path` picks whether simplex runs at all.
-/// The combinatorial tree path ([`crate::treelp`]) solves the LP
-/// directly on the laminar forest and is bit-identical to simplex
-/// whenever it answers; it declines (with a typed
-/// [`TreeDecline`](crate::treelp::TreeDecline) reason) on shapes it
-/// cannot certify. Only consulted when `backend` is
-/// [`LpBackend::Exact`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum LpPath {
-    /// Try the tree path first, silently fall back to simplex on a
-    /// decline (the default). Counters record the split:
-    /// `lp.tree_solved` vs `lp.tree_fallback.<reason>`.
-    Auto,
-    /// Tree path only: a decline is surfaced as
-    /// [`SolveError::TreeDeclined`]. For coverage tests and diagnostics.
-    Tree,
-    /// Simplex only: never attempt the tree path.
-    Simplex,
-}
-
-impl LpPath {
-    /// Stable lowercase label (`auto` / `tree` / `simplex`).
-    pub fn label(&self) -> &'static str {
-        match self {
-            LpPath::Auto => "auto",
-            LpPath::Tree => "tree",
-            LpPath::Simplex => "simplex",
-        }
-    }
-}
-
-impl std::str::FromStr for LpPath {
-    type Err = String;
-
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s {
-            "auto" => Ok(LpPath::Auto),
-            "tree" => Ok(LpPath::Tree),
-            "simplex" => Ok(LpPath::Simplex),
-            other => Err(format!("unknown lp path '{other}' (auto|tree|simplex)")),
-        }
-    }
-}
-
 /// Solver configuration.
 #[derive(Debug, Clone)]
 pub struct SolverOptions {
-    /// Arithmetic backend.
-    pub backend: LpBackend,
+    /// How the LP is solved (default [`LpStrategy::Certified`]).
+    pub lp: LpStrategy,
     /// Drop open-but-empty slots from the final schedule (default true).
     pub compact: bool,
     /// Include the ceiling constraints (7)/(8) in the LP (default true —
@@ -210,52 +164,30 @@ pub struct SolverOptions {
     /// engine, the `Solve` facade, the CLI and the serve layer).
     /// [`solve_nested`] ignores this field.
     pub shard: ShardMode,
-    /// Arithmetic discipline for the exact backend's LP stage (ignored
-    /// by the float backends). The [`PrecisionMode::Hybrid`] default is
-    /// bit-identical to [`PrecisionMode::Exact`], just faster.
-    pub precision: PrecisionMode,
-    /// LP solver selection for the exact backend: the combinatorial
-    /// tree path, simplex, or try-tree-then-fall-back (the
-    /// [`LpPath::Auto`] default). Bit-identical in every case.
-    pub lp_path: LpPath,
 }
 
 impl SolverOptions {
     /// Exact reference configuration (the paper's algorithm verbatim).
     ///
-    /// Ships with [`PrecisionMode::Hybrid`]: the LP runs f64-first but
-    /// every answer is exactly re-derived and certified (or the exact
-    /// simplex is rerun), so results are bit-identical to
-    /// [`PrecisionMode::Exact`] while typically much faster.
+    /// Ships with [`LpStrategy::Certified`]: the tree DP and the
+    /// f64-first simplex answer most LPs, but every answer is exact (or
+    /// the exact simplex is rerun), so results are bit-identical to
+    /// [`LpStrategy::Exact`] while typically much faster.
     pub fn exact() -> Self {
         SolverOptions {
-            backend: LpBackend::Exact,
+            lp: LpStrategy::Certified,
             compact: true,
             use_ceiling: true,
             polish: false,
             round_choice: crate::rounding::RoundingChoice::LargestFraction,
             ceiling_depth: 3,
             shard: ShardMode::Auto,
-            precision: PrecisionMode::Hybrid,
-            lp_path: LpPath::Auto,
         }
     }
 
     /// Fast floating-point configuration.
     pub fn float() -> Self {
-        SolverOptions { backend: LpBackend::Float, ..SolverOptions::exact() }
-    }
-
-    /// Pick the arithmetic discipline for the exact backend's LP stage.
-    pub fn with_precision(mut self, precision: PrecisionMode) -> Self {
-        self.precision = precision;
-        self
-    }
-
-    /// Pick the LP solver path for the exact backend.
-    pub fn with_lp_path(mut self, lp_path: LpPath) -> Self {
-        self.lp_path = lp_path;
-        self
+        SolverOptions { lp: LpStrategy::Float, ..SolverOptions::exact() }
     }
 
     /// Enable the slot-closing post-optimization.
@@ -292,9 +224,12 @@ pub struct StageTimings {
     /// Window-forest construction + canonical transformation + OPT
     /// lower-bound oracle.
     pub canonicalize: Duration,
-    /// Building and solving the strengthened LP (both attempts, for the
-    /// snap backend).
+    /// Building and solving the strengthened LP: the attempt that
+    /// answered ([`SolveStats::lp_answer`]) only.
     pub lp: Duration,
+    /// A tree-DP attempt that declined before a simplex attempt
+    /// answered (zero when the tree answered or was not tried).
+    pub lp_declined: Duration,
     /// Lemma 3.1 push-down.
     pub transform: Duration,
     /// Algorithm 1 rounding.
@@ -308,7 +243,13 @@ pub struct StageTimings {
 impl StageTimings {
     /// Sum over all stages.
     pub fn total(&self) -> Duration {
-        self.canonicalize + self.lp + self.transform + self.round + self.extract + self.verify
+        self.canonicalize
+            + self.lp
+            + self.lp_declined
+            + self.transform
+            + self.round
+            + self.extract
+            + self.verify
     }
 }
 
@@ -339,6 +280,8 @@ pub struct SolveStats {
     /// `opened / lp_objective` — certified ≤ 9/5 by Lemma 3.3 (when the
     /// ceiling constraints are enabled).
     pub opened_over_lp: f64,
+    /// Which LP attempt produced the optimum rounding read.
+    pub lp_answer: LpAnswer,
     /// Wall-clock time per pipeline stage.
     pub timings: StageTimings,
 }
@@ -363,12 +306,8 @@ pub enum SolveError {
     Instance(crate::instance::InstanceError),
     /// The instance (equivalently the LP) is infeasible.
     Infeasible,
-    /// The LP solver gave up (possible only on the float backend).
+    /// The LP solver gave up (possible only under [`LpStrategy::Float`]).
     Lp(atsched_lp::LpError),
-    /// The combinatorial tree path declined the instance and fallback
-    /// was forbidden ([`LpPath::Tree`] only — [`LpPath::Auto`] falls
-    /// back to simplex instead of surfacing this).
-    TreeDeclined(crate::treelp::TreeDecline),
 }
 
 impl fmt::Display for SolveError {
@@ -377,7 +316,6 @@ impl fmt::Display for SolveError {
             SolveError::Instance(e) => write!(f, "{e}"),
             SolveError::Infeasible => write!(f, "instance is infeasible"),
             SolveError::Lp(e) => write!(f, "{e}"),
-            SolveError::TreeDeclined(d) => write!(f, "tree LP path declined: {d}"),
         }
     }
 }
@@ -405,14 +343,19 @@ pub fn solve_nested(inst: &Instance, opts: &SolverOptions) -> Result<SolveResult
                 repair_opened: 0,
                 polish_closed: 0,
                 opened_over_lp: 1.0,
+                // The strategy's first attempt answers an empty LP.
+                lp_answer: match opts.lp {
+                    LpStrategy::Certified => LpAnswer::Tree,
+                    LpStrategy::Exact => LpAnswer::Exact,
+                    LpStrategy::Float => LpAnswer::Float,
+                },
                 timings: StageTimings::default(),
             },
             z: Vec::new(),
             forest: Forest { nodes: Vec::new(), roots: Vec::new(), job_node: Vec::new() },
         });
     }
-    // Outer span: covers the whole pipeline (dropped when the chosen
-    // backend returns). Stage spans nest inside it.
+    // Outer span: covers the whole pipeline. Stage spans nest inside it.
     let _solve_span = obs::Span::enter("solve");
     let stage = Instant::now();
     let span = obs::Span::enter("canonicalize");
@@ -420,220 +363,145 @@ pub fn solve_nested(inst: &Instance, opts: &SolverOptions) -> Result<SolveResult
     let nodes_original = forest.num_nodes();
     let canon = canonicalize(&forest, inst);
     let bounds = opt23::compute(&canon, inst);
-    let timings = StageTimings { canonicalize: stage.elapsed(), ..StageTimings::default() };
+    let mut timings = StageTimings { canonicalize: stage.elapsed(), ..StageTimings::default() };
     drop(span);
 
-    match opts.backend {
-        LpBackend::Exact => {
-            // Combinatorial fast path: solve the LP directly on the
-            // laminar forest when the shape allows a certified answer.
-            if opts.lp_path != LpPath::Simplex {
-                let stage = Instant::now();
-                match crate::treelp::solve_tree(
-                    &canon,
-                    inst,
-                    &bounds,
-                    opts.use_ceiling,
-                    opts.ceiling_depth,
-                ) {
-                    Ok(crate::treelp::TreeOutcome::Solved(sol)) => {
-                        let mut timings = timings;
-                        timings.lp = stage.elapsed();
-                        obs::histogram_record("span.lp.ms", timings.lp.as_secs_f64() * 1e3);
-                        obs::counter_add("lp.tree_solved", 1);
-                        return finish_pipeline::<Ratio>(
-                            inst,
-                            canon,
-                            nodes_original,
-                            opts,
-                            sol,
-                            timings,
-                        );
-                    }
-                    Ok(crate::treelp::TreeOutcome::Infeasible) => {
-                        return Err(SolveError::Infeasible)
-                    }
-                    Err(decline) => {
-                        match decline.label() {
-                            "nonunique" => obs::counter_add("lp.tree_fallback.nonunique", 1),
-                            "flow" => obs::counter_add("lp.tree_fallback.flow", 1),
-                            "scale" => obs::counter_add("lp.tree_fallback.scale", 1),
-                            _ => obs::counter_add("lp.tree_fallback.overflow", 1),
-                        }
-                        if opts.lp_path == LpPath::Tree {
-                            return Err(SolveError::TreeDeclined(decline));
-                        }
-                        // Auto: fall through to the simplex pipelines.
-                    }
-                }
-            }
-            match opts.precision {
-                PrecisionMode::Exact => {
-                    run_pipeline::<Ratio>(inst, canon, nodes_original, &bounds, opts, timings)
-                }
-                PrecisionMode::Hybrid | PrecisionMode::F64Unchecked => run_hybrid_pipeline(
-                    inst,
-                    canon,
-                    nodes_original,
-                    &bounds,
-                    opts,
-                    timings,
-                    opts.precision == PrecisionMode::Hybrid,
-                ),
-            }
-        }
-        LpBackend::Float => {
-            run_pipeline::<f64>(inst, canon, nodes_original, &bounds, opts, timings)
-        }
-        LpBackend::FloatThenSnap => {
-            run_snap_pipeline(inst, canon, nodes_original, &bounds, opts, timings)
-        }
-    }
-}
-
-/// Job-count gate for the Lemma 4.1 deficiency cross-check on the
-/// hybrid path. The check enumerates `2^n` job subsets, so it is only
-/// affordable (and only run) on small instances; 12 keeps it well under
-/// a millisecond and off the critical path of larger solves.
-const LEMMA41_JOB_LIMIT: usize = 12;
-
-/// Exact backend under [`PrecisionMode::Hybrid`] /
-/// [`PrecisionMode::F64Unchecked`]: the LP stage runs the f64-first,
-/// exactly-verified pipeline ([`NestedLp::solve_hybrid`]); everything
-/// downstream is the ordinary exact pipeline on the re-derived rational
-/// solution. On small instances the rounded integral certificate is
-/// additionally cross-checked against the paper's Lemma 4.1
-/// characterization; a violation (never observed — it would indicate a
-/// rounding-stage bug, since the schedule already re-verified by
-/// max-flow) re-runs the whole pipeline in pure exact arithmetic.
-fn run_hybrid_pipeline(
-    inst: &Instance,
-    canon: Forest,
-    nodes_original: usize,
-    bounds: &opt23::OptBounds,
-    opts: &SolverOptions,
-    mut timings: StageTimings,
-    certify: bool,
-) -> Result<SolveResult, SolveError> {
-    let stage = Instant::now();
-    let lp_span = obs::Span::enter("lp");
-    let mut lp = build_opts::<Ratio>(&canon, inst, bounds, opts.use_ceiling);
-    if opts.use_ceiling && opts.ceiling_depth > 3 {
-        let deep = crate::opt23::compute_deep(&canon, inst, opts.ceiling_depth);
-        crate::lp_model::add_deep_ceilings(&mut lp, &canon, &deep);
-    }
-    let (sol, _outcome) = lp.solve_hybrid(certify).map_err(|e| match e {
-        NestedLpError::Infeasible => SolveError::Infeasible,
-        NestedLpError::Solver(e) => SolveError::Lp(e),
-    })?;
-    timings.lp = stage.elapsed();
-    drop(lp_span);
-
-    let canonicalize = timings.canonicalize;
-    let result = finish_pipeline::<Ratio>(inst, canon, nodes_original, opts, sol, timings)?;
-    if certify
+    let lp = solve_lp(inst, &canon, &bounds, opts, opts.lp, &mut timings)?;
+    let result = finish_pipeline(inst, canon, nodes_original, opts, lp, timings);
+    // On small instances a hybrid answer's rounded integral certificate
+    // is cross-checked against the paper's Lemma 4.1 characterization;
+    // a violation (never observed — it would indicate a rounding-stage
+    // bug, since the schedule already re-verified by max-flow) re-runs
+    // the pipeline on the exact simplex.
+    if result.stats.lp_answer == LpAnswer::Hybrid
         && inst.num_jobs() <= LEMMA41_JOB_LIMIT
         && crate::certify::check_lemma_4_1(&result.forest, inst, &result.z, LEMMA41_JOB_LIMIT)
             .is_err()
     {
         obs::counter_add("solver.hybrid_lemma41_fallbacks", 1);
-        let timings = StageTimings { canonicalize, ..StageTimings::default() };
-        return run_pipeline::<Ratio>(inst, result.forest, nodes_original, bounds, opts, timings);
+        let canon = result.forest;
+        timings = StageTimings { canonicalize: timings.canonicalize, ..StageTimings::default() };
+        let lp = solve_lp(inst, &canon, &bounds, opts, LpStrategy::Exact, &mut timings)?;
+        return Ok(finish_pipeline(inst, canon, nodes_original, opts, lp, timings));
     }
     Ok(result)
 }
 
-/// Hybrid backend: float LP, rationalized solution, exact rounding.
-fn run_snap_pipeline(
-    inst: &Instance,
-    canon: Forest,
-    nodes_original: usize,
-    bounds: &opt23::OptBounds,
-    opts: &SolverOptions,
-    mut timings: StageTimings,
-) -> Result<SolveResult, SolveError> {
-    let stage = Instant::now();
-    let lp_span = obs::Span::enter("lp");
-    let mut lp = build_opts::<f64>(&canon, inst, bounds, opts.use_ceiling);
-    if opts.use_ceiling && opts.ceiling_depth > 3 {
-        let deep = crate::opt23::compute_deep(&canon, inst, opts.ceiling_depth);
-        crate::lp_model::add_deep_ceilings(&mut lp, &canon, &deep);
-    }
-    let sol_f = lp.solve().map_err(|e| match e {
-        NestedLpError::Infeasible => SolveError::Infeasible,
-        NestedLpError::Solver(e) => SolveError::Lp(e),
-    })?;
-    timings.lp = stage.elapsed();
+/// Job-count gate for the Lemma 4.1 deficiency cross-check of hybrid
+/// answers. The check enumerates `2^n` job subsets, so it is only
+/// affordable (and only run) on small instances; 12 keeps it well under
+/// a millisecond and off the critical path of larger solves.
+const LEMMA41_JOB_LIMIT: usize = 12;
 
-    // Rationalize. Simplex vertices of these LPs have modest
-    // denominators; 10^6 comfortably covers them while still absorbing
-    // float noise.
-    const MAX_DEN: u64 = 1_000_000;
-    let snap = |v: &f64| Ratio::from_f64_approx(*v, MAX_DEN);
-    let snapped: Option<crate::lp_model::FractionalSolution<Ratio>> = (|| {
-        let x: Option<Vec<Ratio>> = sol_f.x.iter().map(snap).collect();
-        let x = x?;
-        let mut y: Vec<Vec<(usize, Ratio)>> = Vec::with_capacity(sol_f.y.len());
-        for per_node in &sol_f.y {
-            let mut row = Vec::with_capacity(per_node.len());
-            for (gid, v) in per_node {
-                row.push((*gid, snap(v)?));
-            }
-            y.push(row);
-        }
-        let objective: Ratio = x.iter().sum();
-        Some(crate::lp_model::FractionalSolution { x, y, objective })
-    })();
-
-    let stage = Instant::now();
-    if let Some(sol_q) = snapped {
-        let groups = crate::lp_model::group_jobs(&canon, inst);
-        if sol_q.check(&canon, inst, &groups).is_ok() {
-            timings.lp += stage.elapsed();
-            drop(lp_span);
-            return finish_pipeline::<Ratio>(inst, canon, nodes_original, opts, sol_q, timings);
-        }
-    }
-    // Snap failed LP feasibility: fall back to the plain float pipeline.
-    timings.lp += stage.elapsed();
-    drop(lp_span);
-    finish_pipeline::<f64>(inst, canon, nodes_original, opts, sol_f, timings)
+/// An LP optimum in the arithmetic it was solved in, tagged with the
+/// attempt that produced it.
+enum LpOptimum {
+    Rational(crate::lp_model::FractionalSolution<Ratio>, LpAnswer),
+    Float(crate::lp_model::FractionalSolution<f64>),
 }
 
-fn run_pipeline<S: Scalar>(
+/// The LP stage: run `strategy`'s attempts in order until one answers.
+///
+/// The answering attempt runs under an `lp` span and is timed into
+/// [`StageTimings::lp`]. A declined tree attempt runs under its own
+/// `lp.tree_declined` span, is timed into [`StageTimings::lp_declined`]
+/// and bumps its [`TreeDecline::counter`](crate::treelp::TreeDecline::counter).
+fn solve_lp(
+    inst: &Instance,
+    canon: &Forest,
+    bounds: &opt23::OptBounds,
+    opts: &SolverOptions,
+    strategy: LpStrategy,
+    timings: &mut StageTimings,
+) -> Result<LpOptimum, SolveError> {
+    if strategy == LpStrategy::Certified {
+        let stage = Instant::now();
+        let mut span = obs::Span::enter("lp");
+        match crate::treelp::solve_tree(canon, inst, bounds, opts.use_ceiling, opts.ceiling_depth) {
+            Ok(crate::treelp::TreeOutcome::Solved(sol)) => {
+                timings.lp = stage.elapsed();
+                obs::counter_add("lp.tree_solved", 1);
+                return Ok(LpOptimum::Rational(sol, LpAnswer::Tree));
+            }
+            Ok(crate::treelp::TreeOutcome::Infeasible) => return Err(SolveError::Infeasible),
+            Err(decline) => {
+                obs::counter_add(decline.counter(), 1);
+                span.rename("lp.tree_declined");
+                timings.lp_declined = stage.elapsed();
+            }
+        }
+    }
+
+    let stage = Instant::now();
+    let _span = obs::Span::enter("lp");
+    let lp_error = |e| match e {
+        NestedLpError::Infeasible => SolveError::Infeasible,
+        NestedLpError::Solver(e) => SolveError::Lp(e),
+    };
+    let optimum = match strategy {
+        LpStrategy::Certified => {
+            let (sol, outcome) =
+                build_lp::<Ratio>(canon, inst, bounds, opts).solve_hybrid().map_err(lp_error)?;
+            let answer = if outcome.fell_back() { LpAnswer::Exact } else { LpAnswer::Hybrid };
+            LpOptimum::Rational(sol, answer)
+        }
+        LpStrategy::Exact => LpOptimum::Rational(
+            build_lp::<Ratio>(canon, inst, bounds, opts).solve().map_err(lp_error)?,
+            LpAnswer::Exact,
+        ),
+        LpStrategy::Float => {
+            LpOptimum::Float(build_lp::<f64>(canon, inst, bounds, opts).solve().map_err(lp_error)?)
+        }
+    };
+    timings.lp = stage.elapsed();
+    Ok(optimum)
+}
+
+/// The strengthened LP with the configured ceiling constraints.
+fn build_lp<S: Scalar>(
+    canon: &Forest,
+    inst: &Instance,
+    bounds: &opt23::OptBounds,
+    opts: &SolverOptions,
+) -> crate::lp_model::NestedLp<S> {
+    let mut lp = build_opts::<S>(canon, inst, bounds, opts.use_ceiling);
+    if opts.use_ceiling && opts.ceiling_depth > 3 {
+        let deep = crate::opt23::compute_deep(canon, inst, opts.ceiling_depth);
+        crate::lp_model::add_deep_ceilings(&mut lp, canon, &deep);
+    }
+    lp
+}
+
+/// Round and extract in the arithmetic the LP optimum was solved in.
+fn finish_pipeline(
     inst: &Instance,
     canon: Forest,
     nodes_original: usize,
-    bounds: &opt23::OptBounds,
     opts: &SolverOptions,
-    mut timings: StageTimings,
-) -> Result<SolveResult, SolveError> {
-    let stage = Instant::now();
-    let lp_span = obs::Span::enter("lp");
-    let mut lp = build_opts::<S>(&canon, inst, bounds, opts.use_ceiling);
-    if opts.use_ceiling && opts.ceiling_depth > 3 {
-        let deep = crate::opt23::compute_deep(&canon, inst, opts.ceiling_depth);
-        crate::lp_model::add_deep_ceilings(&mut lp, &canon, &deep);
+    lp: LpOptimum,
+    timings: StageTimings,
+) -> SolveResult {
+    match lp {
+        LpOptimum::Rational(sol, answer) => {
+            round_and_extract(inst, canon, nodes_original, opts, sol, answer, timings)
+        }
+        LpOptimum::Float(sol) => {
+            round_and_extract(inst, canon, nodes_original, opts, sol, LpAnswer::Float, timings)
+        }
     }
-    let sol = lp.solve().map_err(|e| match e {
-        NestedLpError::Infeasible => SolveError::Infeasible,
-        NestedLpError::Solver(e) => SolveError::Lp(e),
-    })?;
-    timings.lp = stage.elapsed();
-    drop(lp_span);
-    finish_pipeline::<S>(inst, canon, nodes_original, opts, sol, timings)
 }
 
 /// Everything after the LP: Lemma 3.1 transform, Algorithm 1 rounding,
 /// schedule extraction and verification.
-fn finish_pipeline<S: Scalar>(
+fn round_and_extract<S: Scalar>(
     inst: &Instance,
     canon: Forest,
     nodes_original: usize,
     opts: &SolverOptions,
     sol: crate::lp_model::FractionalSolution<S>,
+    lp_answer: LpAnswer,
     mut timings: StageTimings,
-) -> Result<SolveResult, SolveError> {
+) -> SolveResult {
     let lp_objective = sol.objective.to_f64();
     let lp_exact = exact_objective_string(&sol.objective);
 
@@ -744,9 +612,10 @@ fn finish_pipeline<S: Scalar>(
         repair_opened,
         polish_closed,
         opened_over_lp: if lp_objective > 0.0 { opened_slots as f64 / lp_objective } else { 1.0 },
+        lp_answer,
         timings,
     };
-    Ok(SolveResult { schedule, stats, z, forest: canon })
+    SolveResult { schedule, stats, z, forest: canon }
 }
 
 fn exact_objective_string<S: Scalar>(obj: &S) -> Option<String> {
@@ -901,35 +770,6 @@ mod tests {
     }
 
     #[test]
-    fn snap_backend_matches_exact() {
-        let cases: Cases = vec![
-            (2, vec![(0, 8, 2), (1, 4, 1), (5, 7, 1)]),
-            (3, vec![(0, 2, 1); 4]),
-            (2, vec![(0, 10, 2), (1, 6, 2), (2, 5, 1), (7, 9, 1)]),
-            (2, vec![(0, 12, 3), (1, 6, 2), (2, 5, 1), (7, 11, 2)]),
-        ];
-        for (g, jobs) in cases {
-            let i = inst(g, jobs.clone());
-            let exact = solve_nested(&i, &SolverOptions::exact()).unwrap();
-            let snap = solve_nested(
-                &i,
-                &SolverOptions { backend: LpBackend::FloatThenSnap, ..SolverOptions::exact() },
-            )
-            .unwrap();
-            snap.schedule.verify(&i).unwrap();
-            assert!((exact.stats.lp_objective - snap.stats.lp_objective).abs() < 1e-6, "{jobs:?}");
-            assert!(snap.stats.opened_slots as f64 <= 1.8 * snap.stats.lp_objective + 1e-6);
-        }
-    }
-
-    #[test]
-    fn snap_backend_reports_infeasible() {
-        let i = inst(1, vec![(0, 2, 1); 3]);
-        let opts = SolverOptions { backend: LpBackend::FloatThenSnap, ..SolverOptions::exact() };
-        assert_eq!(solve_nested(&i, &opts).unwrap_err(), SolveError::Infeasible);
-    }
-
-    #[test]
     fn stats_are_consistent() {
         let r = solve_ok(2, vec![(0, 12, 3), (1, 6, 2), (2, 5, 1), (7, 11, 2)]);
         assert_eq!(r.stats.opened_slots, r.z.iter().sum::<i64>());
@@ -939,15 +779,15 @@ mod tests {
     }
 
     #[test]
-    fn precision_mode_labels_round_trip() {
-        for mode in [PrecisionMode::Hybrid, PrecisionMode::Exact, PrecisionMode::F64Unchecked] {
-            assert_eq!(mode.label().parse::<PrecisionMode>().unwrap(), mode);
+    fn lp_strategy_labels_round_trip() {
+        for lp in [LpStrategy::Certified, LpStrategy::Exact, LpStrategy::Float] {
+            assert_eq!(lp.label().parse::<LpStrategy>().unwrap(), lp);
         }
-        assert!("float".parse::<PrecisionMode>().is_err());
+        assert!("hybrid".parse::<LpStrategy>().is_err());
     }
 
     #[test]
-    fn hybrid_precision_is_bit_identical_to_exact() {
+    fn certified_is_bit_identical_to_exact() {
         let cases: Cases = vec![
             (2, vec![(0, 8, 2), (1, 4, 1), (5, 7, 1)]),
             (3, vec![(0, 2, 1); 4]),
@@ -956,42 +796,87 @@ mod tests {
             (2, vec![(0, 3, 2), (5, 9, 1), (5, 9, 1), (12, 14, 2)]),
             (1, vec![(0, 5, 2)]),
         ];
+        let pure = SolverOptions { lp: LpStrategy::Exact, ..SolverOptions::exact() };
         for (g, jobs) in cases {
             let i = inst(g, jobs.clone());
-            let pure = SolverOptions::exact().with_precision(PrecisionMode::Exact);
             let e = solve_nested(&i, &pure).unwrap();
-            let h = solve_nested(&i, &SolverOptions::exact()).unwrap();
-            assert_eq!(h.z, e.z, "{jobs:?}");
-            assert_eq!(h.schedule.slots, e.schedule.slots, "{jobs:?}");
-            assert_eq!(h.schedule.assignment, e.schedule.assignment, "{jobs:?}");
-            assert_eq!(h.stats.lp_objective_exact, e.stats.lp_objective_exact, "{jobs:?}");
-            assert_eq!(h.stats.opened_slots, e.stats.opened_slots, "{jobs:?}");
-
-            // Unchecked mode skips the certificate but still re-derives
-            // exactly; the schedule must verify in every case.
-            let unchecked = SolverOptions::exact().with_precision(PrecisionMode::F64Unchecked);
-            let u = solve_nested(&i, &unchecked).unwrap();
-            u.schedule.verify(&i).unwrap();
-            assert!(u.stats.lp_objective_exact.is_some(), "unchecked path stays rational");
+            let c = solve_nested(&i, &SolverOptions::exact()).unwrap();
+            assert_eq!(c.z, e.z, "{jobs:?}");
+            assert_eq!(c.schedule.slots, e.schedule.slots, "{jobs:?}");
+            assert_eq!(c.schedule.assignment, e.schedule.assignment, "{jobs:?}");
+            assert_eq!(c.stats.lp_objective_exact, e.stats.lp_objective_exact, "{jobs:?}");
+            assert_eq!(c.stats.opened_slots, e.stats.opened_slots, "{jobs:?}");
+            assert_eq!(e.stats.lp_answer, LpAnswer::Exact, "{jobs:?}");
         }
     }
 
     #[test]
-    fn hybrid_precision_reports_infeasible() {
+    fn every_strategy_reports_infeasible() {
         let i = inst(1, vec![(0, 2, 1); 3]);
-        assert_eq!(solve_nested(&i, &SolverOptions::exact()).unwrap_err(), SolveError::Infeasible);
-        let unchecked = SolverOptions::exact().with_precision(PrecisionMode::F64Unchecked);
-        assert_eq!(solve_nested(&i, &unchecked).unwrap_err(), SolveError::Infeasible);
+        for lp in [LpStrategy::Certified, LpStrategy::Exact, LpStrategy::Float] {
+            let opts = SolverOptions { lp, ..SolverOptions::exact() };
+            assert_eq!(solve_nested(&i, &opts).unwrap_err(), SolveError::Infeasible, "{lp:?}");
+        }
+    }
+
+    /// Solve under a fresh collector; returns the result and the
+    /// number of samples recorded in the `span.<name>.ms` histograms.
+    fn solve_traced(i: &Instance, spans: &[&str]) -> (SolveResult, Vec<u64>) {
+        let registry = std::sync::Arc::new(obs::Registry::new());
+        let collector = obs::Collector::new(std::sync::Arc::clone(&registry));
+        let r = obs::with_collector(collector, || solve_nested(i, &SolverOptions::exact()));
+        let snap = registry.snapshot();
+        let counts = spans
+            .iter()
+            .map(|name| snap.histogram(&format!("span.{name}.ms")).map_or(0, |h| h.count))
+            .collect();
+        (r.unwrap(), counts)
+    }
+
+    #[test]
+    fn declined_tree_attempt_is_timed_and_traced_apart() {
+        // Rigid unit jobs pin the LP: the tree DP answers.
+        let (tree, spans) = solve_traced(&inst(2, vec![(0, 2, 1); 3]), &["lp", "lp.tree_declined"]);
+        assert_eq!(tree.stats.lp_answer, LpAnswer::Tree);
+        assert_eq!(tree.stats.timings.lp_declined, Duration::ZERO);
+        assert!(tree.stats.timings.lp > Duration::ZERO);
+        assert_eq!(spans, vec![1, 0]);
+
+        // A slack split the DP cannot pin: the tree declines and the
+        // hybrid simplex answers, each attempt under its own span.
+        let wide = inst(2, vec![(0, 10, 2), (1, 6, 2), (2, 5, 1), (7, 9, 1)]);
+        let (declined, spans) = solve_traced(&wide, &["lp", "lp.tree_declined"]);
+        assert_ne!(declined.stats.lp_answer, LpAnswer::Tree);
+        let t = declined.stats.timings;
+        assert!(t.lp_declined > Duration::ZERO);
+        assert!(t.lp > Duration::ZERO);
+        assert_eq!(
+            t.total(),
+            t.canonicalize + t.lp + t.lp_declined + t.transform + t.round + t.extract + t.verify
+        );
+        assert_eq!(spans, vec![1, 1]);
+    }
+
+    #[test]
+    fn lp_answer_names_the_strategy_attempt() {
+        let i = inst(2, vec![(0, 12, 3), (1, 6, 2), (2, 5, 1), (7, 11, 2)]);
+        let answer =
+            |lp| solve_nested(&i, &SolverOptions { lp, ..SolverOptions::exact() }).unwrap();
+        assert_eq!(answer(LpStrategy::Exact).stats.lp_answer, LpAnswer::Exact);
+        let float = answer(LpStrategy::Float);
+        assert_eq!(float.stats.lp_answer, LpAnswer::Float);
+        assert!(float.stats.lp_objective_exact.is_none());
+        assert_eq!(answer(LpStrategy::Exact).stats.timings.lp_declined, Duration::ZERO);
     }
 
     proptest::proptest! {
         #![proptest_config(proptest::prelude::ProptestConfig::with_cases(48))]
-        /// Hybrid precision ≡ pure exact on random laminar instances:
-        /// same z-vector, same slots, same assignment, same exact LP
+        /// Certified ≡ pure exact on random laminar instances: same
+        /// z-vector, same slots, same assignment, same exact LP
         /// objective — bit for bit. (Generator shape borrowed from the
         /// opt23 oracle test.)
         #[test]
-        fn prop_hybrid_precision_matches_exact(
+        fn prop_certified_matches_exact(
             g in 1i64..4,
             raw in proptest::collection::vec((0i64..6, 1i64..5, 1i64..3), 1..6),
         ) {
@@ -1007,7 +892,7 @@ mod tests {
             }
             let i = inst(g, jobs);
             proptest::prop_assume!(i.check_laminar().is_ok());
-            let pure = SolverOptions::exact().with_precision(PrecisionMode::Exact);
+            let pure = SolverOptions { lp: LpStrategy::Exact, ..SolverOptions::exact() };
             match (solve_nested(&i, &SolverOptions::exact()), solve_nested(&i, &pure)) {
                 (Ok(h), Ok(e)) => {
                     proptest::prop_assert_eq!(h.z, e.z);

@@ -36,7 +36,7 @@ use atsched_flow::FlowNetwork;
 use atsched_num::Ratio;
 
 /// Why the tree path declined an instance (the caller falls back to
-/// simplex; each variant has a stable counter label).
+/// simplex; each variant has a stable label and counter).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TreeDecline {
     /// Residual slack at this node could be split between two or more
@@ -68,6 +68,16 @@ impl TreeDecline {
             TreeDecline::FlowInfeasible => "flow",
             TreeDecline::NonIntegralScale { .. } => "scale",
             TreeDecline::Overflow => "overflow",
+        }
+    }
+
+    /// The `lp.tree_fallback.<label>` counter this decline bumps.
+    pub fn counter(&self) -> &'static str {
+        match self {
+            TreeDecline::NonUniqueSplit { .. } => "lp.tree_fallback.nonunique",
+            TreeDecline::FlowInfeasible => "lp.tree_fallback.flow",
+            TreeDecline::NonIntegralScale { .. } => "lp.tree_fallback.scale",
+            TreeDecline::Overflow => "lp.tree_fallback.overflow",
         }
     }
 }
@@ -426,9 +436,14 @@ mod tests {
 
     #[test]
     fn decline_labels_are_stable() {
-        assert_eq!(TreeDecline::NonUniqueSplit { node: 0 }.label(), "nonunique");
-        assert_eq!(TreeDecline::FlowInfeasible.label(), "flow");
-        assert_eq!(TreeDecline::NonIntegralScale { node: 0 }.label(), "scale");
-        assert_eq!(TreeDecline::Overflow.label(), "overflow");
+        for (decline, label) in [
+            (TreeDecline::NonUniqueSplit { node: 0 }, "nonunique"),
+            (TreeDecline::FlowInfeasible, "flow"),
+            (TreeDecline::NonIntegralScale { node: 0 }, "scale"),
+            (TreeDecline::Overflow, "overflow"),
+        ] {
+            assert_eq!(decline.label(), label);
+            assert_eq!(decline.counter(), format!("lp.tree_fallback.{label}"));
+        }
     }
 }

@@ -687,17 +687,16 @@ mod tests {
         // Extraction ran max-flow feasibility checks.
         assert!(snap.counter("flow.max_flow_calls").unwrap_or(0) > 0, "{snap:?}");
         assert!(snap.counter("flow.augmenting_paths").unwrap_or(0) > 0, "{snap:?}");
-        // 4 non-cached solver runs; the infeasible one is proven
-        // infeasible by the tree DP before any LP work, so only the 3
-        // feasible solves record an lp sample (tree-solved instances
-        // record `span.lp.ms` directly, fallbacks via the simplex span).
-        for stage in ["solve", "canonicalize"] {
+        // 4 non-cached solver runs, each with one answering `lp` span
+        // (the infeasible one is proven infeasible by the tree DP); the
+        // declined tree attempt of the fallback gets its own span.
+        for stage in ["solve", "canonicalize", "lp"] {
             let h = snap
                 .histogram(&format!("span.{stage}.ms"))
                 .unwrap_or_else(|| panic!("missing span.{stage}.ms in {snap:?}"));
             assert_eq!(h.count, 4, "stage {stage}");
         }
-        assert_eq!(snap.histogram("span.lp.ms").unwrap().count, 3);
+        assert_eq!(snap.histogram("span.lp.tree_declined.ms").unwrap().count, 1);
         // The tree LP fast path answered part of the corpus and fell
         // back on the rest (the `lp.pivots` assertion above proves the
         // simplex really ran for the remainder).
@@ -736,15 +735,16 @@ mod tests {
             .with_trace(std::sync::Arc::clone(&trace));
         engine.solve_batch(&small_corpus(), &SolverOptions::exact());
         let events = trace.events();
-        // Two tree-solved solves × 6 spans (no simplex `lp` span — the
-        // tree path times its LP stage without one), one simplex
-        // fallback × 7 spans, and the infeasible instance × 2 spans
-        // (the tree DP proves infeasibility right after canonicalize);
-        // the cache hit skips the solver entirely.
-        assert_eq!(events.len(), 21, "{events:?}");
+        // Two tree-solved solves × 7 spans, one simplex fallback × 8
+        // spans (its declined tree attempt is `lp.tree_declined`), and
+        // the infeasible instance × 3 spans (the tree DP proves
+        // infeasibility inside its `lp` span); the cache hit skips the
+        // solver entirely.
+        assert_eq!(events.len(), 25, "{events:?}");
         let json = trace.to_chrome_json();
         assert!(json.contains("\"name\":\"solve\""));
         assert!(json.contains("\"name\":\"lp\""));
+        assert!(json.contains("\"name\":\"lp.tree_declined\""));
         assert!(json.contains("\"ph\":\"X\""));
     }
 

@@ -195,7 +195,7 @@ mod tests {
 
         use super::*;
         use atsched_core::rounding::RoundingChoice;
-        use atsched_core::solver::{LpBackend, LpPath, PrecisionMode, ShardMode};
+        use atsched_core::solver::{LpStrategy, ShardMode};
         use proptest::prelude::*;
 
         fn job() -> impl Strategy<Value = Job> {
@@ -208,52 +208,29 @@ mod tests {
         }
 
         fn options() -> impl Strategy<Value = SolverOptions> {
-            (
-                0u8..3,
-                any::<bool>(),
-                any::<bool>(),
-                any::<bool>(),
-                0u8..3,
-                3i64..6,
-                0u8..3,
-                (0u8..3, 0u8..3),
-            )
-                .prop_map(
-                    |(backend, compact, use_ceiling, polish, round, depth, shard, arith)| {
-                        let (precision, lp_path) = arith;
-                        SolverOptions {
-                            backend: match backend {
-                                0 => LpBackend::Exact,
-                                1 => LpBackend::Float,
-                                _ => LpBackend::FloatThenSnap,
-                            },
-                            compact,
-                            use_ceiling,
-                            polish,
-                            round_choice: match round {
-                                0 => RoundingChoice::LargestFraction,
-                                1 => RoundingChoice::FirstId,
-                                _ => RoundingChoice::Shuffled(depth as u64),
-                            },
-                            ceiling_depth: depth,
-                            shard: match shard {
-                                0 => ShardMode::Auto,
-                                1 => ShardMode::Off,
-                                _ => ShardMode::Force,
-                            },
-                            precision: match precision {
-                                0 => PrecisionMode::Hybrid,
-                                1 => PrecisionMode::Exact,
-                                _ => PrecisionMode::F64Unchecked,
-                            },
-                            lp_path: match lp_path {
-                                0 => LpPath::Auto,
-                                1 => LpPath::Tree,
-                                _ => LpPath::Simplex,
-                            },
-                        }
+            (0u8..3, any::<bool>(), any::<bool>(), any::<bool>(), 0u8..3, 3i64..6, 0u8..3).prop_map(
+                |(lp, compact, use_ceiling, polish, round, depth, shard)| SolverOptions {
+                    lp: match lp {
+                        0 => LpStrategy::Certified,
+                        1 => LpStrategy::Exact,
+                        _ => LpStrategy::Float,
                     },
-                )
+                    compact,
+                    use_ceiling,
+                    polish,
+                    round_choice: match round {
+                        0 => RoundingChoice::LargestFraction,
+                        1 => RoundingChoice::FirstId,
+                        _ => RoundingChoice::Shuffled(depth as u64),
+                    },
+                    ceiling_depth: depth,
+                    shard: match shard {
+                        0 => ShardMode::Auto,
+                        1 => ShardMode::Off,
+                        _ => ShardMode::Force,
+                    },
+                },
+            )
         }
 
         /// Apply one of the content mutations; returns `None` when the
@@ -297,9 +274,10 @@ mod tests {
             let mut m = opts.clone();
             match which {
                 0 => {
-                    m.backend = match m.backend {
-                        LpBackend::Exact => LpBackend::Float,
-                        _ => LpBackend::Exact,
+                    m.lp = match m.lp {
+                        LpStrategy::Certified => LpStrategy::Exact,
+                        LpStrategy::Exact => LpStrategy::Float,
+                        LpStrategy::Float => LpStrategy::Certified,
                     }
                 }
                 1 => m.compact = !m.compact,
@@ -317,18 +295,6 @@ mod tests {
                         _ => ShardMode::Off,
                     }
                 }
-                6 => {
-                    m.precision = match m.precision {
-                        PrecisionMode::Exact => PrecisionMode::Hybrid,
-                        _ => PrecisionMode::Exact,
-                    }
-                }
-                7 => {
-                    m.lp_path = match m.lp_path {
-                        LpPath::Simplex => LpPath::Auto,
-                        _ => LpPath::Simplex,
-                    }
-                }
                 _ => m.ceiling_depth += 1,
             }
             m
@@ -340,7 +306,7 @@ mod tests {
                 inst in instance(),
                 opts in options(),
                 which_inst in 0u8..6,
-                which_opts in 0u8..9,
+                which_opts in 0u8..7,
                 delta in 0i64..8,
             ) {
                 // Reflexivity: a clone is the same key (a repeat hits).

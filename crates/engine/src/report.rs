@@ -84,7 +84,8 @@ pub struct CacheReport {
 pub struct StageReport {
     /// Forest build + canonical transformation + OPT oracle.
     pub canonicalize: Percentiles,
-    /// LP build + solve (both attempts on the snap backend).
+    /// LP build + solve: the attempt that answered (a declined tree
+    /// attempt is `StageTimings::lp_declined`, not counted here).
     pub lp: Percentiles,
     /// Lemma 3.1 push-down.
     pub transform: Percentiles,

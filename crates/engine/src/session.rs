@@ -17,8 +17,8 @@
 //!    anywhere before — by any session or batch — is reused.
 //! 3. **Cold solve.** A genuinely dirty shard is solved with
 //!    [`solve_nested`] under [`shard::shard_options`], exactly as
-//!    [`Engine::solve_one`] solves it: tree path, then hybrid, then the
-//!    exact simplex, honouring `lp_path` and `precision`.
+//!    [`Engine::solve_one`] solves it: under the options' `lp` strategy
+//!    (by default tree path, then hybrid, then the exact simplex).
 //!
 //! The invariant is absolute: **any amend sequence yields exactly the
 //! result a cold solve of the final instance would**. Layers 1 and 2
@@ -417,7 +417,7 @@ impl Session<'_> {
 mod tests {
     use super::*;
     use crate::batch::EngineConfig;
-    use atsched_core::solver::{LpPath, ShardMode};
+    use atsched_core::solver::{LpAnswer, LpStrategy, ShardMode};
 
     fn inst(g: i64, jobs: Vec<(i64, i64, i64)>) -> Instance {
         Instance::new(g, jobs.into_iter().map(|(r, d, p)| Job::new(r, d, p)).collect()).unwrap()
@@ -559,7 +559,7 @@ mod tests {
     }
 
     /// `lp.tree_solved` plus every `lp.tree_fallback.*` reason: one per
-    /// feasible solve that reached the LP stage under `lp_path = auto`.
+    /// feasible solve that reached the LP stage under `lp = certified`.
     fn lp_attempts(snap: &obs::RegistrySnapshot) -> u64 {
         [
             "lp.tree_solved",
@@ -612,19 +612,22 @@ mod tests {
     }
 
     #[test]
-    fn sessions_honour_lp_path_like_cold_solves() {
-        // The rigid instance is tree-solved; a forced-simplex session must
-        // not touch the tree path, and a forced-tree one must.
+    fn sessions_honour_the_lp_strategy_like_cold_solves() {
+        // The rigid instance is tree-solved under the certified default;
+        // an exact-strategy session must not touch the tree path.
         let rigid = inst(2, vec![(0, 4, 4), (0, 4, 4)]);
-        for path in [LpPath::Simplex, LpPath::Tree] {
-            let opts = SolverOptions::exact().with_lp_path(path);
+        for (lp, answer) in
+            [(LpStrategy::Certified, LpAnswer::Tree), (LpStrategy::Exact, LpAnswer::Exact)]
+        {
+            let opts = SolverOptions { lp, ..SolverOptions::exact() };
             let engine = Engine::new(EngineConfig::default().cache(false));
             let session = engine.open_session(rigid.clone(), &opts);
             let tree = engine.registry().snapshot().counter("lp.tree_solved");
-            let expected = (path == LpPath::Tree).then_some(1);
-            assert_eq!(tree, expected, "{path:?}");
+            assert_eq!(tree, (answer == LpAnswer::Tree).then_some(1), "{lp:?}");
+            let outcome = session.outcome();
+            assert_eq!(outcome.as_solved().unwrap().result.stats.lp_answer, answer, "{lp:?}");
             let cold = Engine::new(EngineConfig::default().cache(false)).solve_one(&rigid, &opts);
-            assert_bit_identical(&session.outcome(), &cold);
+            assert_bit_identical(&outcome, &cold);
         }
     }
 

@@ -11,7 +11,7 @@
 
 use atsched_baselines::exact::nested_opt;
 use atsched_core::instance::Instance;
-use atsched_core::solver::{solve_nested, LpBackend, SolverOptions};
+use atsched_core::solver::{solve_nested, SolverOptions};
 use atsched_workloads::generators::{random_laminar, LaminarConfig};
 
 /// Search configuration.
@@ -23,7 +23,7 @@ pub struct SearchConfig {
     pub gs: Vec<i64>,
     /// Horizon for generated instances (kept small so exact OPT is fast).
     pub horizon: i64,
-    /// How many top candidates to re-verify with the exact LP backend.
+    /// How many top candidates to re-verify with exact LP arithmetic.
     pub exact_top: usize,
 }
 
@@ -62,8 +62,7 @@ pub fn search_tree_lp_gap(cfg: &SearchConfig) -> Vec<GapWitness> {
                 child_percent: 65,
             };
             let inst = random_laminar(&gen_cfg, seed);
-            let float = SolverOptions { backend: LpBackend::Float, ..SolverOptions::exact() };
-            let Ok(sol) = solve_nested(&inst, &float) else { continue };
+            let Ok(sol) = solve_nested(&inst, &SolverOptions::float()) else { continue };
             let lp = sol.stats.lp_objective;
             let Some(opt) = nested_opt(&inst, lp.ceil() as i64) else { continue };
             let opt = opt.active_time() as i64;
@@ -78,7 +77,7 @@ pub fn search_tree_lp_gap(cfg: &SearchConfig) -> Vec<GapWitness> {
     // Re-verify the survivors with exact rational arithmetic.
     for w in &mut candidates {
         let exact = solve_nested(&w.instance, &SolverOptions::exact())
-            .expect("was feasible with the float backend");
+            .expect("was feasible with the float LP");
         w.lp = exact.stats.lp_objective;
         w.ratio = w.opt as f64 / w.lp.max(1e-9);
     }

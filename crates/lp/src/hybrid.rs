@@ -31,11 +31,6 @@
 //!    `lp.hybrid_fallbacks` (with a per-reason breakdown under
 //!    `lp.hybrid_fallback.*`); verified fast paths under
 //!    `lp.hybrid_verified`.
-//!
-//! The unchecked variant (`certify = false`) skips step 4: the solution
-//! is still *re-derived exactly* and checked primal-feasible, but its
-//! optimality rests on the float pivoting — callers opt in via
-//! `PrecisionMode::F64Unchecked` for throwaway sweeps.
 
 use crate::model::{Constraint, LpError, LpStatus, Model, Solution, SolveInfo};
 use crate::presolve::{inflate, presolve};
@@ -51,9 +46,6 @@ pub enum HybridOutcome {
     /// The float basis was re-derived and certified exactly; the result
     /// is bit-identical to a cold exact solve.
     Verified,
-    /// Exact re-derivation without the optimality/uniqueness
-    /// certificate (`certify = false`).
-    Unchecked,
     /// The float basis could not be certified; the result comes from
     /// the cold exact simplex (still exact, just slower).
     Fallback(FallbackReason),
@@ -74,8 +66,7 @@ pub enum FallbackReason {
     /// Some pivot decision in the float run was decided inside the
     /// tolerance band: the exact simplex could legitimately have pivoted
     /// differently and reached a different (equally optimal) vertex, so
-    /// vertex identity with the cold solve is not assured. Only raised
-    /// when certifying — unchecked mode accepts any exact optimum.
+    /// vertex identity with the cold solve is not assured.
     TieSuspect,
     /// The float simplex reported a non-optimal status, which is never
     /// trusted (the exact solve decides infeasibility/unboundedness).
@@ -106,27 +97,20 @@ impl Model<Ratio> {
     /// Solve via the f64-first pipeline, falling back to the exact
     /// simplex whenever the float basis cannot be certified.
     ///
-    /// With `certify = true` the returned solution is a *proven exact
-    /// optimum*: the objective is bit-identical to
-    /// [`Model::solve_detailed`] in every case (on the fast path the
-    /// duality certificate proves it; on fallback it *is* the exact
-    /// solve). On degenerate models the certified vertex is not
-    /// required to coincide with the cold solve's choice, though the
-    /// shared deterministic pivot rule makes it do so in practice.
-    /// With `certify = false` the optimality check is skipped — the
-    /// solution is still exactly re-derived and primal-feasible, but a
-    /// float mis-pivot could leave it suboptimal.
-    pub fn solve_hybrid(
-        &self,
-        certify: bool,
-    ) -> Result<(Solution<Ratio>, SolveInfo, HybridOutcome), LpError> {
-        solve_hybrid_impl(self, certify)
+    /// The returned solution is a *proven exact optimum*: the objective
+    /// is bit-identical to [`Model::solve_detailed`] in every case (on
+    /// the fast path the duality certificate proves it; on fallback it
+    /// *is* the exact solve). On degenerate models the certified vertex
+    /// is not required to coincide with the cold solve's choice, though
+    /// the tie-suspect guard and the shared deterministic pivot rule
+    /// make it do so in practice.
+    pub fn solve_hybrid(&self) -> Result<(Solution<Ratio>, SolveInfo, HybridOutcome), LpError> {
+        solve_hybrid_impl(self)
     }
 }
 
 fn solve_hybrid_impl(
     model: &Model<Ratio>,
-    certify: bool,
 ) -> Result<(Solution<Ratio>, SolveInfo, HybridOutcome), LpError> {
     obs::counter_add("lp.solves", 1);
     let mut info =
@@ -165,28 +149,24 @@ fn solve_hybrid_impl(
             info.pivots += core.pivots;
             if core.solution.status != LpStatus::Optimal {
                 reason = Some(FallbackReason::FloatStatus(core.solution.status));
-            } else if certify && core.marginal {
+            } else if core.marginal {
                 // A tie-suspect basis may still be exactly optimal, but
                 // it may be a *different* optimal vertex than the cold
-                // solve's — and certify mode promises the cold solve's
-                // answer. Skip the exact re-derivation work entirely.
+                // solve's — and the hybrid path promises the cold
+                // solve's answer. Skip the exact re-derivation entirely.
                 reason = Some(FallbackReason::TieSuspect);
             } else {
                 let fb = core.basis.expect("optimal core solve carries a basis");
                 match rederive(&pre.model, &fb) {
                     Err(e) => reason = Some(FallbackReason::Verify(e)),
                     Ok(red) => {
-                        if certify {
-                            // `rederive` already proved exact primal
-                            // feasibility; `check_duality` adds dual
-                            // feasibility and strong duality, which
-                            // together certify optimality.
-                            match pre.model.check_duality(&red.solution, &red.duals) {
-                                Ok(()) => reduced = Some(red.solution),
-                                Err(msg) => reason = Some(FallbackReason::Certificate(msg)),
-                            }
-                        } else {
-                            reduced = Some(red.solution);
+                        // `rederive` already proved exact primal
+                        // feasibility; `check_duality` adds dual
+                        // feasibility and strong duality, which together
+                        // certify optimality.
+                        match pre.model.check_duality(&red.solution, &red.duals) {
+                            Ok(()) => reduced = Some(red.solution),
+                            Err(msg) => reason = Some(FallbackReason::Certificate(msg)),
                         }
                     }
                 }
@@ -198,8 +178,8 @@ fn solve_hybrid_impl(
         obs::counter_add("lp.hybrid_verified", 1);
         let values = inflate(&pre.var_disposition, &reduced.values);
         let objective = model.objective_at(&values);
-        let outcome = if certify { HybridOutcome::Verified } else { HybridOutcome::Unchecked };
-        return Ok((Solution { status: LpStatus::Optimal, objective, values }, info, outcome));
+        let solution = Solution { status: LpStatus::Optimal, objective, values };
+        return Ok((solution, info, HybridOutcome::Verified));
     }
 
     // --- fallback: cold exact simplex on the presolved model ---------------
@@ -273,7 +253,7 @@ mod tests {
         let y = m.add_var("y", ri(3));
         m.add_constraint(vec![(x, ri(1)), (y, ri(1))], Cmp::Ge, ri(1));
         m.add_constraint(vec![(x, ri(1)), (y, ri(-1))], Cmp::Eq, rf(1, 3));
-        let (hy, _, outcome) = m.solve_hybrid(true).unwrap();
+        let (hy, _, outcome) = m.solve_hybrid().unwrap();
         assert_eq!(outcome, HybridOutcome::Verified);
         let cold = m.solve().unwrap();
         assert_eq!(hy.status, LpStatus::Optimal);
@@ -293,7 +273,7 @@ mod tests {
         let x = m.add_var("x", ri(1));
         let y = m.add_var("y", ri(1));
         m.add_constraint(vec![(x, ri(1)), (y, ri(1))], Cmp::Ge, ri(1));
-        let (hy, _, outcome) = m.solve_hybrid(true).unwrap();
+        let (hy, _, outcome) = m.solve_hybrid().unwrap();
         assert_eq!(outcome, HybridOutcome::Verified, "degenerate optimum must still certify");
         let cold = m.solve().unwrap();
         assert_eq!(hy.objective, cold.objective);
@@ -306,29 +286,15 @@ mod tests {
         let x = inf.add_var("x", ri(0));
         inf.add_constraint(vec![(x, ri(1))], Cmp::Ge, ri(2));
         inf.add_constraint(vec![(x, ri(1))], Cmp::Le, ri(1));
-        let (sol, _, _) = inf.solve_hybrid(true).unwrap();
+        let (sol, _, _) = inf.solve_hybrid().unwrap();
         assert_eq!(sol.status, LpStatus::Infeasible);
 
         let mut unb: Model<Ratio> = Model::new();
         let x = unb.add_var("x", ri(-1));
         unb.add_constraint(vec![(x, ri(1))], Cmp::Ge, ri(1));
-        let (sol, _, outcome) = unb.solve_hybrid(true).unwrap();
+        let (sol, _, outcome) = unb.solve_hybrid().unwrap();
         assert_eq!(sol.status, LpStatus::Unbounded);
         assert!(outcome.fell_back(), "non-optimal float status is never trusted");
-    }
-
-    #[test]
-    fn unchecked_mode_rederives_exactly_without_certificate() {
-        let mut m: Model<Ratio> = Model::new();
-        let x = m.add_var("x", ri(1));
-        let y = m.add_var("y", ri(1));
-        m.add_constraint(vec![(x, ri(1)), (y, ri(2))], Cmp::Ge, ri(3));
-        m.add_constraint(vec![(x, ri(3)), (y, ri(1))], Cmp::Ge, ri(4));
-        let (sol, _, outcome) = m.solve_hybrid(false).unwrap();
-        assert_eq!(outcome, HybridOutcome::Unchecked);
-        // The values are exact rationals, not float snaps.
-        assert_eq!(sol.objective, ri(2));
-        assert_eq!(sol.values, vec![ri(1), ri(1)]);
     }
 
     #[test]
@@ -336,7 +302,7 @@ mod tests {
         let mut m: Model<Ratio> = Model::new();
         let x = m.add_var("x", ri(1));
         m.add_constraint(vec![(x, ri(1))], Cmp::Le, ri(-1));
-        let (sol, _, outcome) = m.solve_hybrid(true).unwrap();
+        let (sol, _, outcome) = m.solve_hybrid().unwrap();
         assert_eq!(sol.status, LpStatus::Infeasible);
         assert_eq!(outcome, HybridOutcome::Verified);
     }
@@ -376,7 +342,7 @@ mod tests {
                 let terms: Vec<_> = vars.iter().zip(row).map(|(v, c)| (*v, ri(*c))).collect();
                 m.add_constraint(terms, Cmp::Ge, ri(dot));
             }
-            let (hy, _, _) = m.solve_hybrid(true).unwrap();
+            let (hy, _, _) = m.solve_hybrid().unwrap();
             let cold = m.solve().unwrap();
             prop_assert_eq!(hy.status, cold.status);
             if cold.status == LpStatus::Optimal {

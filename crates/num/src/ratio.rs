@@ -221,77 +221,6 @@ impl Ratio {
             self.recip().pow(-exp)
         }
     }
-
-    /// Best rational approximation of a float with denominator at most
-    /// `max_den`, via the continued-fraction convergent/semiconvergent
-    /// construction (the Stern–Brocot best-approximation property).
-    ///
-    /// Useful for *rationalizing* an `f64` LP solution — snapping values
-    /// like `0.33333333331` back to `1/3` before exact post-processing.
-    /// Returns `None` for NaN/±∞, `max_den < 1`, or `|x| ≥ 2^127`
-    /// (whose integer part alone overflows the convergent arithmetic).
-    pub fn from_f64_approx(x: f64, max_den: u64) -> Option<Ratio> {
-        if !x.is_finite() || max_den < 1 {
-            return None;
-        }
-        let negative = x < 0.0;
-        let target = x.abs();
-        // `target.floor() as i128` saturates at i128::MAX for inputs at
-        // or above 2^127 — that would *silently* hand back the wrong
-        // integer, so refuse instead.
-        if target >= 2f64.powi(127) {
-            return None;
-        }
-        let mk = |p: i128, q: i128| {
-            let r = Ratio::new(Int::from(p), Int::from(q));
-            if negative {
-                -r
-            } else {
-                r
-            }
-        };
-
-        // Continued-fraction expansion with convergents p/q.
-        let (mut p0, mut q0) = (1i128, 0i128);
-        let (mut p1, mut q1) = (target.floor() as i128, 1i128);
-        let mut frac = target - target.floor();
-        while frac > 1e-12 {
-            let inv = 1.0 / frac;
-            let a_f = inv.floor();
-            if a_f >= 1e17 {
-                break; // numeric noise floor reached
-            }
-            frac = inv - a_f;
-            let a = a_f as i128;
-            // Convergents can outgrow i128 long before `q` hits a huge
-            // `max_den`; a wrapped product would return garbage, so on
-            // overflow settle for the last convergent already in hand.
-            let step = |hi: i128, lo: i128| a.checked_mul(hi).and_then(|m| m.checked_add(lo));
-            let (p2, q2) = match (step(p1, p0), step(q1, q0)) {
-                (Some(p2), Some(q2)) => (p2, q2),
-                _ => break,
-            };
-            if q2 > max_den as i128 {
-                // Best semiconvergent within the bound, if any, else the
-                // last convergent; pick whichever is closer to the input.
-                let k = (max_den as i128 - q0) / q1;
-                let conv = mk(p1, q1);
-                if k >= 1 {
-                    let semi_pq =
-                        k.checked_mul(p1).and_then(|m| m.checked_add(p0)).map(|p| (p, k * q1 + q0));
-                    if let Some((sp, sq)) = semi_pq {
-                        let semi = mk(sp, sq);
-                        let err_semi = (semi.to_f64() - x).abs();
-                        let err_conv = (conv.to_f64() - x).abs();
-                        return Some(if err_semi < err_conv { semi } else { conv });
-                    }
-                }
-                return Some(conv);
-            }
-            (p0, q0, p1, q1) = (p1, q1, p2, q2);
-        }
-        Some(mk(p1, q1))
-    }
 }
 
 /// `x · 2^e` with saturation: overflow lands on ±inf, underflow on
@@ -715,89 +644,6 @@ mod tests {
         assert_eq!(r(2, 3).pow(2), r(4, 9));
         assert_eq!(r(2, 3).pow(-2), r(9, 4));
         assert_eq!(r(2, 3).pow(0), Ratio::one());
-    }
-
-    #[test]
-    fn from_f64_approx_snaps_simple_fractions() {
-        assert_eq!(Ratio::from_f64_approx(0.5, 100), Some(r(1, 2)));
-        assert_eq!(Ratio::from_f64_approx(1.0 / 3.0, 100), Some(r(1, 3)));
-        assert_eq!(Ratio::from_f64_approx(0.33333333331, 1000), Some(r(1, 3)));
-        assert_eq!(Ratio::from_f64_approx(-2.2499999999, 100), Some(r(-9, 4)));
-        assert_eq!(Ratio::from_f64_approx(7.0, 10), Some(r(7, 1)));
-        assert_eq!(Ratio::from_f64_approx(0.0, 10), Some(Ratio::zero()));
-    }
-
-    #[test]
-    fn from_f64_approx_respects_denominator_bound() {
-        // π with small denominators: 22/7 then 355/113.
-        let pi = std::f64::consts::PI;
-        assert_eq!(Ratio::from_f64_approx(pi, 10), Some(r(22, 7)));
-        assert_eq!(Ratio::from_f64_approx(pi, 200), Some(r(355, 113)));
-        for max_den in [1u64, 7, 50, 1000] {
-            let got = Ratio::from_f64_approx(pi, max_den).unwrap();
-            assert!(got.denom() <= &Int::from(max_den));
-        }
-    }
-
-    #[test]
-    fn from_f64_approx_rejects_non_finite() {
-        assert_eq!(Ratio::from_f64_approx(f64::NAN, 10), None);
-        assert_eq!(Ratio::from_f64_approx(f64::INFINITY, 10), None);
-        assert_eq!(Ratio::from_f64_approx(f64::NEG_INFINITY, 10), None);
-        assert_eq!(Ratio::from_f64_approx(1.0, 0), None);
-    }
-
-    #[test]
-    fn from_f64_approx_huge_magnitudes_refuse_instead_of_saturating() {
-        // `target.floor() as i128` saturates at i128::MAX for inputs at
-        // or above 2^127; the old code silently returned that garbage
-        // integer. Now the whole band is refused.
-        assert_eq!(Ratio::from_f64_approx(2f64.powi(127), 1000), None);
-        assert_eq!(Ratio::from_f64_approx(-(2f64.powi(127)), 1000), None);
-        assert_eq!(Ratio::from_f64_approx(f64::MAX, u64::MAX), None);
-        assert_eq!(Ratio::from_f64_approx(f64::MIN, u64::MAX), None);
-        // Just below the cutoff the float is an exact integer and must
-        // round-trip exactly even with the tightest denominator bound.
-        let x = 2f64.powi(126);
-        let got = Ratio::from_f64_approx(x, 1).unwrap();
-        assert_eq!(got.to_f64(), x);
-    }
-
-    #[test]
-    fn from_f64_approx_edge_inputs_never_panic() {
-        // Subnormals, signed zero, values near the noise floor, huge
-        // denominator bounds: each must yield a bounded-denominator
-        // rational or None — never a debug-overflow panic (the
-        // convergent recurrence is checked arithmetic now).
-        let inputs = [
-            f64::MIN_POSITIVE,
-            f64::from_bits(1), // smallest subnormal
-            -0.0,
-            1e-300,
-            1e300,
-            (2f64.powi(52) - 1.0) + 0.5,
-            std::f64::consts::E * 1e15,
-            -1e-15,
-        ];
-        for &x in &inputs {
-            for &md in &[1u64, 2, 1_000, u64::MAX] {
-                if let Some(got) = Ratio::from_f64_approx(x, md) {
-                    assert!(got.denom() <= &Int::from(md), "x={x} md={md}");
-                }
-            }
-        }
-        assert_eq!(Ratio::from_f64_approx(-0.0, 10), Some(Ratio::zero()));
-    }
-
-    proptest! {
-        #[test]
-        fn prop_from_f64_approx_roundtrips_small_rationals(
-            (a, b) in (-500i64..500, 1i64..500),
-        ) {
-            let exact = r(a, b);
-            let back = Ratio::from_f64_approx(exact.to_f64(), 1000).unwrap();
-            prop_assert_eq!(back, exact);
-        }
     }
 
     #[test]

@@ -49,6 +49,14 @@ impl Span {
     pub fn name(&self) -> Option<&'static str> {
         self.ctx.as_ref().map(|c| c.name)
     }
+
+    /// Record this span under `name` instead, for a stage whose outcome
+    /// decides what it was (e.g. an attempt that turned out discarded).
+    pub fn rename(&mut self, name: &'static str) {
+        if let Some(ctx) = &mut self.ctx {
+            ctx.name = name;
+        }
+    }
 }
 
 impl Drop for Span {
@@ -93,6 +101,19 @@ mod tests {
     fn span_without_collector_is_inert() {
         let span = Span::enter("idle");
         assert_eq!(span.name(), None);
+    }
+
+    #[test]
+    fn renamed_span_records_under_its_new_name() {
+        let reg = Arc::new(Registry::new());
+        with_collector(Collector::new(Arc::clone(&reg)), || {
+            let mut span = Span::enter("attempt");
+            span.rename("attempt.discarded");
+            assert_eq!(span.name(), Some("attempt.discarded"));
+        });
+        let snap = reg.snapshot();
+        assert!(snap.histogram("span.attempt.ms").is_none());
+        assert_eq!(snap.histogram("span.attempt.discarded.ms").unwrap().count, 1);
     }
 
     #[test]

@@ -183,7 +183,7 @@ impl Client {
     }
 
     /// Solve one instance with server defaults; see [`solve`](Self::solve)
-    /// to control method, backend, seed, or deadline.
+    /// to control method, LP strategy, seed, or deadline.
     pub fn solve_instance(&mut self, inst: &Instance) -> Result<SolveReply, ClientError> {
         self.solve(Request::solve(inst))
     }

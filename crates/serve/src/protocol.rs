@@ -18,6 +18,7 @@
 use atsched_core::delta::JobDelta;
 use atsched_core::instance::{Instance, Job};
 use atsched_core::schedule::Schedule;
+use atsched_core::solver::LpStrategy;
 use atsched_engine::{EngineTotals, Percentiles};
 use atsched_obs::RegistrySnapshot;
 use serde::de::{from_value, Deserializer};
@@ -180,13 +181,16 @@ pub struct Request {
     pub instances: Option<Vec<Instance>>,
     /// Solving path: `auto` | `nested` | `general` | `greedy` (default `auto`).
     pub method: Option<String>,
-    /// LP backend: `exact` | `float` | `snap` (default `exact`).
+    /// LP backend: `exact` | `float` (default `exact`; `snap` is a
+    /// deprecated alias of `exact`). With `precision` and `lp_path`
+    /// this selects the LP strategy; see [`Request::with_lp`].
     pub backend: Option<String>,
-    /// Arithmetic discipline for the exact backend's LP stage:
-    /// `hybrid` | `exact` | `f64-unchecked` (default `hybrid`).
+    /// `hybrid` | `exact` (default `hybrid`; `f64-unchecked` is a
+    /// deprecated alias of `hybrid`). `exact` asks for the exact
+    /// simplex reference.
     pub precision: Option<String>,
-    /// LP solver path for the exact backend:
-    /// `auto` | `tree` | `simplex` (default `auto`).
+    /// `auto` | `simplex` (default `auto`; both certified). `tree` is
+    /// refused.
     pub lp_path: Option<String>,
     /// Enable the slot-closing post-optimization (default false).
     pub polish: Option<bool>,
@@ -304,23 +308,17 @@ impl Request {
         self
     }
 
-    /// Set the LP backend (`exact` | `float` | `snap`).
-    pub fn with_backend(mut self, backend: &str) -> Request {
-        self.backend = Some(backend.to_string());
-        self
-    }
-
-    /// Set the exact backend's arithmetic discipline
-    /// (`hybrid` | `exact` | `f64-unchecked`).
-    pub fn with_precision(mut self, precision: &str) -> Request {
-        self.precision = Some(precision.to_string());
-        self
-    }
-
-    /// Set the exact backend's LP solver path
-    /// (`auto` | `tree` | `simplex`).
-    pub fn with_lp_path(mut self, lp_path: &str) -> Request {
-        self.lp_path = Some(lp_path.to_string());
+    /// Pick the LP strategy, spelled in the wire's `backend` /
+    /// `precision` fields: `exact` is `precision: "exact"`, `float` is
+    /// `backend: "float"`, and `certified` (the server default) is
+    /// neither.
+    pub fn with_lp(mut self, lp: LpStrategy) -> Request {
+        let (backend, precision) = match lp {
+            LpStrategy::Certified => (None, None),
+            LpStrategy::Exact => (None, Some("exact".to_string())),
+            LpStrategy::Float => (Some("float".to_string()), None),
+        };
+        (self.backend, self.precision, self.lp_path) = (backend, precision, None);
         self
     }
 
@@ -863,8 +861,7 @@ mod tests {
             .with_id(7)
             .with_method("nested")
             .with_shard("force")
-            .with_precision("exact")
-            .with_lp_path("simplex")
+            .with_lp(LpStrategy::Exact)
             .with_timeout_ms(500);
         let line = serde_json::to_string(&req).unwrap();
         assert!(!line.contains('\n'), "frames are single lines: {line}");

@@ -23,7 +23,7 @@ pub enum Error {
     Instance(InstanceError),
     /// The instance admits no feasible schedule.
     Infeasible,
-    /// The LP solver gave up (possible only on the float backend).
+    /// The LP solver gave up (possible only under `LpStrategy::Float`).
     Lp(LpError),
     /// A configured wall-clock budget ran out.
     TimedOut,
@@ -38,9 +38,6 @@ pub enum Error {
     /// A wire-protocol failure talking to a solve service (malformed
     /// frame, unexpected reply, broken connection).
     Protocol(String),
-    /// The combinatorial tree LP path was forced (`lp-path=tree`) and
-    /// declined the instance.
-    TreeDeclined(atsched_core::TreeDecline),
 }
 
 impl fmt::Display for Error {
@@ -55,7 +52,6 @@ impl fmt::Display for Error {
             Error::Overloaded => write!(f, "service overloaded: admission queue is full"),
             Error::ShuttingDown => write!(f, "service is shutting down"),
             Error::Protocol(msg) => write!(f, "protocol error: {msg}"),
-            Error::TreeDeclined(d) => write!(f, "tree LP path declined: {d}"),
         }
     }
 }
@@ -71,8 +67,7 @@ impl std::error::Error for Error {
             | Error::Panicked(_)
             | Error::Overloaded
             | Error::ShuttingDown
-            | Error::Protocol(_)
-            | Error::TreeDeclined(_) => None,
+            | Error::Protocol(_) => None,
         }
     }
 }
@@ -83,7 +78,6 @@ impl From<SolveError> for Error {
             SolveError::Instance(e) => Error::Instance(e),
             SolveError::Infeasible => Error::Infeasible,
             SolveError::Lp(e) => Error::Lp(e),
-            SolveError::TreeDeclined(d) => Error::TreeDeclined(d),
         }
     }
 }

@@ -14,7 +14,7 @@
 //! is plumbing they share.
 //!
 //! - **[`Solve`] — the one-shot facade.** Build it around an instance,
-//!   pick a method/backend/deadline, call [`Solve::run`]. It
+//!   pick a method/LP strategy/deadline, call [`Solve::run`]. It
 //!   auto-dispatches nested vs. general windows and needs no held
 //!   state. Use this for a single instance in hand.
 //! - **[`Engine`](engine::Engine) — the service-grade surface.** One
@@ -88,7 +88,7 @@ pub mod prelude {
     pub use atsched_core::instance::{Instance, Job};
     pub use atsched_core::schedule::Schedule;
     pub use atsched_core::solver::{
-        solve_nested, LpBackend, PrecisionMode, ShardMode, SolveResult, SolveStats, SolverOptions,
+        solve_nested, LpAnswer, LpStrategy, ShardMode, SolveResult, SolveStats, SolverOptions,
         StageTimings,
     };
     pub use atsched_engine::{BatchReport, Engine, EngineConfig, Outcome, Session, SessionId};

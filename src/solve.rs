@@ -32,9 +32,7 @@ use atsched_baselines::greedy::ScanOrder;
 use atsched_baselines::incremental::minimal_feasible_fast;
 use atsched_core::instance::Instance;
 use atsched_core::schedule::Schedule;
-use atsched_core::solver::{
-    LpBackend, LpPath, PrecisionMode, ShardMode, SolveResult, SolveStats, SolverOptions,
-};
+use atsched_core::solver::{LpStrategy, ShardMode, SolveResult, SolveStats, SolverOptions};
 use atsched_engine::{isolated, solve_nested_sharded, with_budget};
 use std::time::Duration;
 
@@ -162,7 +160,7 @@ pub struct Solve<'a> {
 
 impl<'a> Solve<'a> {
     /// Start configuring a solve of `inst` (defaults: [`Method::Auto`],
-    /// exact backend, no polish, no timeout).
+    /// certified LP, no polish, no timeout).
     pub fn new(inst: &'a Instance) -> Self {
         Solve {
             inst,
@@ -185,37 +183,22 @@ impl<'a> Solve<'a> {
         self
     }
 
-    /// Exact big-rational LP backend (the default; unconditional 9/5).
-    pub fn exact(mut self) -> Self {
-        self.opts.backend = LpBackend::Exact;
-        self
+    /// Exact LP answers ([`LpStrategy::Certified`], the default;
+    /// unconditional 9/5).
+    pub fn exact(self) -> Self {
+        self.lp(LpStrategy::Certified)
     }
 
-    /// Fast `f64` LP backend.
-    pub fn float(mut self) -> Self {
-        self.opts.backend = LpBackend::Float;
-        self
+    /// Fast `f64` LP and rounding ([`LpStrategy::Float`]).
+    pub fn float(self) -> Self {
+        self.lp(LpStrategy::Float)
     }
 
-    /// Hybrid backend: float LP, rationalized, exact rounding.
-    pub fn snap(mut self) -> Self {
-        self.opts.backend = LpBackend::FloatThenSnap;
-        self
-    }
-
-    /// Arithmetic discipline for the exact backend's LP stage (default
-    /// [`PrecisionMode::Hybrid`] — f64-first, exactly verified,
-    /// bit-identical to [`PrecisionMode::Exact`]).
-    pub fn precision(mut self, mode: PrecisionMode) -> Self {
-        self.opts.precision = mode;
-        self
-    }
-
-    /// LP solver path for the exact backend (default [`LpPath::Auto`] —
-    /// combinatorial tree path first, simplex fallback; bit-identical
-    /// either way).
-    pub fn lp_path(mut self, path: LpPath) -> Self {
-        self.opts.lp_path = path;
+    /// How the LP is solved (default [`LpStrategy::Certified`] — tree
+    /// DP, then f64-first certified simplex, then exact simplex;
+    /// bit-identical to [`LpStrategy::Exact`]).
+    pub fn lp(mut self, strategy: LpStrategy) -> Self {
+        self.opts.lp = strategy;
         self
     }
 
@@ -307,6 +290,7 @@ fn path_schedule(path: &SolvePath) -> &Schedule {
 mod tests {
     use super::*;
     use atsched_core::instance::{InstanceError, Job};
+    use atsched_core::solver::LpAnswer;
 
     fn inst(g: i64, jobs: Vec<(i64, i64, i64)>) -> Instance {
         Instance::new(g, jobs.into_iter().map(|(r, d, p)| Job::new(r, d, p)).collect()).unwrap()
@@ -337,8 +321,7 @@ mod tests {
 
         let float = Solve::new(&i).method(Method::Nested).float().run().unwrap();
         float.schedule().verify(&i).unwrap();
-        let snap = Solve::new(&i).method(Method::Nested).snap().run().unwrap();
-        snap.schedule().verify(&i).unwrap();
+        assert_eq!(float.stats().unwrap().lp_answer, LpAnswer::Float);
     }
 
     #[test]
@@ -398,48 +381,36 @@ mod tests {
     #[test]
     fn precision_modes_agree_through_the_facade() {
         let i = inst(2, vec![(0, 12, 3), (1, 6, 2), (2, 5, 1), (7, 11, 2)]);
-        let hybrid = Solve::new(&i).method(Method::Nested).run().unwrap();
-        let pure =
-            Solve::new(&i).method(Method::Nested).precision(PrecisionMode::Exact).run().unwrap();
-        assert_eq!(hybrid.schedule().slots, pure.schedule().slots);
-        assert_eq!(hybrid.schedule().assignment, pure.schedule().assignment);
+        let certified = Solve::new(&i).method(Method::Nested).run().unwrap();
+        let pure = Solve::new(&i).method(Method::Nested).lp(LpStrategy::Exact).run().unwrap();
+        assert_eq!(certified.schedule().slots, pure.schedule().slots);
+        assert_eq!(certified.schedule().assignment, pure.schedule().assignment);
         assert_eq!(
-            hybrid.stats().unwrap().lp_objective_exact,
+            certified.stats().unwrap().lp_objective_exact,
             pure.stats().unwrap().lp_objective_exact
         );
-        let fast = Solve::new(&i)
-            .method(Method::Nested)
-            .precision(PrecisionMode::F64Unchecked)
-            .run()
-            .unwrap();
-        fast.schedule().verify(&i).unwrap();
+        assert_eq!(pure.stats().unwrap().lp_answer, LpAnswer::Exact);
     }
 
     #[test]
     fn lp_paths_agree_through_the_facade() {
         // Tree-friendly (rigid + ceiling-pinned) and tree-declining
-        // instances both must match the pure simplex path bit-for-bit.
-        for jobs in [
-            vec![(0, 2, 1), (0, 2, 1), (0, 2, 1)],
-            vec![(0, 12, 3), (1, 6, 2), (2, 5, 1), (7, 11, 2)],
+        // instances both must match the pure simplex bit-for-bit, and
+        // report which attempt answered.
+        for (jobs, tree) in [
+            (vec![(0, 2, 1), (0, 2, 1), (0, 2, 1)], true),
+            (vec![(0, 10, 2), (1, 6, 2), (2, 5, 1), (7, 9, 1)], false),
         ] {
             let i = inst(2, jobs);
-            let auto = Solve::new(&i).method(Method::Nested).run().unwrap();
-            let simplex =
-                Solve::new(&i).method(Method::Nested).lp_path(LpPath::Simplex).run().unwrap();
-            assert_eq!(auto.schedule().slots, simplex.schedule().slots);
-            assert_eq!(auto.schedule().assignment, simplex.schedule().assignment);
+            let certified = Solve::new(&i).method(Method::Nested).run().unwrap();
+            let exact = Solve::new(&i).method(Method::Nested).lp(LpStrategy::Exact).run().unwrap();
+            assert_eq!(certified.schedule().slots, exact.schedule().slots);
+            assert_eq!(certified.schedule().assignment, exact.schedule().assignment);
             assert_eq!(
-                auto.stats().unwrap().lp_objective_exact,
-                simplex.stats().unwrap().lp_objective_exact
+                certified.stats().unwrap().lp_objective_exact,
+                exact.stats().unwrap().lp_objective_exact
             );
-        }
-        // Forcing the tree path on a shape it cannot certify surfaces
-        // the typed decline instead of silently falling back.
-        let wide = inst(2, vec![(0, 10, 2), (1, 6, 2), (2, 5, 1), (7, 9, 1)]);
-        match Solve::new(&wide).method(Method::Nested).lp_path(LpPath::Tree).run() {
-            Err(Error::TreeDeclined(_)) => {}
-            other => panic!("expected TreeDeclined, got {other:?}"),
+            assert_eq!(certified.stats().unwrap().lp_answer == LpAnswer::Tree, tree);
         }
     }
 

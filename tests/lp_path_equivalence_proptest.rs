@@ -1,16 +1,19 @@
 //! Equivalence oracle for the LP-free combinatorial tree path.
 //!
-//! `lp-path=tree`'s only legal behaviors are (a) solving with a
+//! The tree DP's only legal behaviors are (a) solving with a
 //! *bit-identical* exact objective and schedule to the simplex, (b)
 //! proving infeasibility exactly when the simplex does, or (c)
-//! declining — never "solving differently". `lp-path=auto` (the
-//! default) must therefore be observationally indistinguishable from
-//! `lp-path=simplex` on every instance, which is what these properties
-//! pin down, over the same dyadic shrinkable strategy as the pipeline
-//! proptests plus the workloads generators.
+//! declining — never "solving differently". `lp=certified` (the
+//! default, tree first) must therefore be observationally
+//! indistinguishable from the `lp=exact` simplex on every instance,
+//! which is what these properties pin down, over the same dyadic
+//! shrinkable strategy as the pipeline proptests plus the workloads
+//! generators.
 
 use nested_active_time::core::instance::{Instance, Job};
-use nested_active_time::core::solver::{solve_nested, LpPath, SolveError, SolverOptions};
+use nested_active_time::core::solver::{
+    solve_nested, LpAnswer, LpStrategy, SolveError, SolverOptions,
+};
 use nested_active_time::workloads::families::{shallow_nest, unit_blocks};
 use nested_active_time::workloads::generators::{
     random_laminar, random_multi_root, LaminarConfig, MultiRootConfig,
@@ -19,8 +22,8 @@ use proptest::prelude::*;
 
 const LEVELS: u32 = 3; // horizon 8
 
-fn opts(path: LpPath) -> SolverOptions {
-    SolverOptions::exact().with_lp_path(path)
+fn opts(lp: LpStrategy) -> SolverOptions {
+    SolverOptions { lp, ..SolverOptions::exact() }
 }
 
 fn dyadic_job() -> impl Strategy<Value = Job> {
@@ -39,13 +42,13 @@ fn any_instance() -> impl Strategy<Value = Instance> {
         .prop_filter_map("well-formed", |(g, jobs)| Instance::new(g, jobs).ok())
 }
 
-/// Auto and Simplex must agree observationally: the same verdict, and
-/// on success a bit-identical exact LP objective plus an identical
+/// Certified and Exact must agree observationally: the same verdict,
+/// and on success a bit-identical exact LP objective plus an identical
 /// slot-for-slot schedule.
 fn assert_paths_agree(inst: &Instance) -> Result<(), TestCaseError> {
-    let auto = solve_nested(inst, &opts(LpPath::Auto));
-    let simplex = solve_nested(inst, &opts(LpPath::Simplex));
-    match (&auto, &simplex) {
+    let certified = solve_nested(inst, &opts(LpStrategy::Certified));
+    let exact = solve_nested(inst, &opts(LpStrategy::Exact));
+    match (&certified, &exact) {
         (Ok(a), Ok(s)) => {
             prop_assert_eq!(&a.stats.lp_objective_exact, &s.stats.lp_objective_exact);
             prop_assert_eq!(&a.schedule.slots, &s.schedule.slots);
@@ -57,7 +60,7 @@ fn assert_paths_agree(inst: &Instance) -> Result<(), TestCaseError> {
                 Ok(_) => "solved".to_string(),
                 Err(e) => format!("error: {e}"),
             };
-            prop_assert!(false, "verdicts diverged: auto={}, simplex={}", label(a), label(s));
+            prop_assert!(false, "verdicts diverged: certified={}, exact={}", label(a), label(s));
         }
     }
     Ok(())
@@ -83,8 +86,8 @@ proptest! {
         assert_paths_agree(&random_multi_root(&mcfg, seed))?;
     }
 
-    /// The unit-blocks family is 100% tree-handled: forcing
-    /// `lp-path=tree` must never decline, and the result must still be
+    /// The unit-blocks family is 100% tree-handled: the tree DP must
+    /// answer every instance, and the result must still be
     /// bit-identical to the simplex.
     #[test]
     fn prop_unit_blocks_family_is_fully_tree_handled(
@@ -95,9 +98,9 @@ proptest! {
     ) {
         prop_assume!(jobs as i64 <= g * width);
         let inst = unit_blocks(blocks, jobs, width, g);
-        let tree = solve_nested(&inst, &opts(LpPath::Tree))
-            .expect("unit-blocks family must be 100% tree-handled");
-        let simplex = solve_nested(&inst, &opts(LpPath::Simplex)).unwrap();
+        let tree = solve_nested(&inst, &opts(LpStrategy::Certified)).unwrap();
+        prop_assert_eq!(tree.stats.lp_answer, LpAnswer::Tree, "unit-blocks must be tree-handled");
+        let simplex = solve_nested(&inst, &opts(LpStrategy::Exact)).unwrap();
         prop_assert_eq!(&tree.stats.lp_objective_exact, &simplex.stats.lp_objective_exact);
         prop_assert_eq!(&tree.schedule.slots, &simplex.schedule.slots);
     }
@@ -112,9 +115,9 @@ proptest! {
     ) {
         prop_assume!((top as i64) < 4 * g);
         let inst = shallow_nest(blocks, top, g);
-        let tree = solve_nested(&inst, &opts(LpPath::Tree))
-            .expect("shallow-nest family must be 100% tree-handled");
-        let simplex = solve_nested(&inst, &opts(LpPath::Simplex)).unwrap();
+        let tree = solve_nested(&inst, &opts(LpStrategy::Certified)).unwrap();
+        prop_assert_eq!(tree.stats.lp_answer, LpAnswer::Tree, "shallow-nest must be tree-handled");
+        let simplex = solve_nested(&inst, &opts(LpStrategy::Exact)).unwrap();
         prop_assert_eq!(&tree.stats.lp_objective_exact, &simplex.stats.lp_objective_exact);
         prop_assert_eq!(&tree.schedule.slots, &simplex.schedule.slots);
     }
