@@ -29,6 +29,7 @@ use crate::schedule::Schedule;
 use crate::solver::{LpAnswer, SolveResult, SolveStats, StageTimings};
 use crate::tree::{Forest, TreeNode};
 use atsched_num::Ratio;
+use std::borrow::Borrow;
 
 /// One independent sub-instance rooted at a single tree of the forest.
 #[derive(Debug, Clone)]
@@ -111,10 +112,15 @@ pub fn decompose(inst: &Instance) -> Result<Decomposition, InstanceError> {
 /// summed across shards — they measure work done, not wall
 /// clock, when shards ran concurrently.
 ///
-/// `parts` must be positionally parallel to `dec.shards`. The merged
+/// `parts` must be positionally parallel to `dec.shards`; they may be
+/// owned or shared (`&SolveResult`, `Arc<SolveResult>`). The merged
 /// schedule is re-verified against `inst`; a failure here is a bug in
 /// the decomposition, not in the input.
-pub fn merge(inst: &Instance, dec: &Decomposition, parts: &[SolveResult]) -> SolveResult {
+pub fn merge<P: Borrow<SolveResult>>(
+    inst: &Instance,
+    dec: &Decomposition,
+    parts: &[P],
+) -> SolveResult {
     assert_eq!(parts.len(), dec.shards.len(), "one result per shard");
 
     let mut slots: Vec<i64> = Vec::new();
@@ -142,6 +148,7 @@ pub fn merge(inst: &Instance, dec: &Decomposition, parts: &[SolveResult]) -> Sol
     let mut exact_sum: Option<Ratio> = Some(Ratio::zero());
 
     for (shard, part) in dec.shards.iter().zip(parts) {
+        let part = part.borrow();
         let off = shard.offset;
         slots.extend(part.schedule.slots.iter().map(|&t| t + off));
         assignment.extend(

@@ -75,7 +75,7 @@ impl std::error::Error for InstanceError {}
 /// instances are valid inputs for the baselines and the per-slot LPs —
 /// and does not check global feasibility (use
 /// [`Instance::is_feasible_all_open`]); the nested solver checks both.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 #[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Instance {
     /// Machine parallelism: jobs per active slot.

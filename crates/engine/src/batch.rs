@@ -2,17 +2,15 @@
 
 use crate::cache::{CacheKey, CacheStats, SolveCache};
 use crate::isolate::{isolated, with_budget, Interrupt};
-use crate::par::default_workers;
+use crate::par::{default_workers, par_map_workers};
 use crate::report::{BatchReport, CacheReport, EngineTotals, Percentiles, StageReport};
-use crate::shard;
-use atsched_core::decompose::Decomposition;
+use crate::session::Parts;
+use crate::shard::{Part, Split};
 use atsched_core::instance::Instance;
-use atsched_core::solver::{solve_nested, SolveError, SolveResult, SolverOptions};
+use atsched_core::solver::{SolveError, SolveResult, SolverOptions};
 use atsched_obs as obs;
-use crossbeam::channel;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use std::thread;
 use std::time::{Duration, Instant};
 
 /// Engine configuration (builder-style).
@@ -20,15 +18,15 @@ use std::time::{Duration, Instant};
 pub struct EngineConfig {
     /// Worker threads; `0` means one per available core.
     pub workers: usize,
-    /// Bounded dispatch-queue depth; `0` means `2 × workers`.
-    pub queue_depth: usize,
     /// Memoize deterministic solve outcomes (default true).
     pub cache: bool,
     /// Maximum memoized entries before FIFO eviction kicks in
     /// (default [`crate::cache::DEFAULT_CACHE_CAPACITY`]; `0` =
     /// unbounded).
     pub cache_capacity: usize,
-    /// Per-solve wall-clock budget; `None` means unlimited.
+    /// Per-solve wall-clock budget; `None` means unlimited. It covers
+    /// the cold fan-out of every solve, session opens and amends
+    /// included.
     pub timeout: Option<Duration>,
     /// Install a metrics collector around each solve (default true).
     /// When false, deep-crate counters/spans see no collector and
@@ -41,7 +39,6 @@ impl Default for EngineConfig {
     fn default() -> Self {
         EngineConfig {
             workers: 0,
-            queue_depth: 0,
             cache: true,
             cache_capacity: crate::cache::DEFAULT_CACHE_CAPACITY,
             timeout: None,
@@ -54,12 +51,6 @@ impl EngineConfig {
     /// Set the worker count (`0` = one per core).
     pub fn workers(mut self, n: usize) -> Self {
         self.workers = n;
-        self
-    }
-
-    /// Set the dispatch-queue depth (`0` = `2 × workers`).
-    pub fn queue_depth(mut self, n: usize) -> Self {
-        self.queue_depth = n;
         self
     }
 
@@ -170,7 +161,7 @@ pub struct BatchResult {
 #[derive(Debug, Default)]
 pub struct Engine {
     pub(crate) cfg: EngineConfig,
-    pub(crate) cache: SolveCache,
+    cache: Arc<SolveCache>,
     totals: TotalCounters,
     pub(crate) registry: Arc<obs::Registry>,
     trace: Option<Arc<obs::TraceBuffer>>,
@@ -196,7 +187,7 @@ impl Engine {
     /// shape of the serve layer, where server-level counters and
     /// solver-level counters land in one snapshot.
     pub fn with_registry(cfg: EngineConfig, registry: Arc<obs::Registry>) -> Self {
-        let cache = SolveCache::with_capacity(cfg.cache_capacity);
+        let cache = Arc::new(SolveCache::with_capacity(cfg.cache_capacity));
         Engine {
             cfg,
             cache,
@@ -252,41 +243,10 @@ impl Engine {
     /// budget overruns are contained to their own item.
     pub fn solve_batch(&self, instances: &[Instance], opts: &SolverOptions) -> BatchResult {
         let start = Instant::now();
-        let n = instances.len();
-        let workers = self.cfg.effective_workers().min(n.max(1));
+        let workers = self.cfg.effective_workers().min(instances.len().max(1));
         let cache_before = self.cache.stats();
-
-        let outcomes: Vec<Outcome> = if workers <= 1 {
-            instances.iter().map(|inst| self.solve_one(inst, opts)).collect()
-        } else {
-            let depth = if self.cfg.queue_depth == 0 { 2 * workers } else { self.cfg.queue_depth };
-            let (tx, rx) = channel::bounded::<(usize, &Instance)>(depth);
-            let (out_tx, out_rx) = channel::unbounded::<(usize, Outcome)>();
-
-            thread::scope(|scope| {
-                for _ in 0..workers {
-                    let rx = rx.clone();
-                    let out_tx = out_tx.clone();
-                    scope.spawn(move || {
-                        while let Ok((i, inst)) = rx.recv() {
-                            out_tx.send((i, self.solve_one(inst, opts))).expect("collector open");
-                        }
-                    });
-                }
-                drop(out_tx);
-                for (i, inst) in instances.iter().enumerate() {
-                    tx.send((i, inst)).expect("workers alive");
-                }
-                drop(tx);
-            });
-
-            let mut slots: Vec<Option<Outcome>> = (0..n).map(|_| None).collect();
-            while let Ok((i, outcome)) = out_rx.recv() {
-                slots[i] = Some(outcome);
-            }
-            slots.into_iter().map(|o| o.expect("every index produced")).collect()
-        };
-
+        let outcomes =
+            par_map_workers(instances.iter().collect(), workers, |inst| self.solve_one(inst, opts));
         let report = self.build_report(&outcomes, workers, start.elapsed(), cache_before);
         BatchResult { outcomes, report }
     }
@@ -347,88 +307,84 @@ impl Engine {
     fn solve_one_inner(&self, inst: &Instance, opts: &SolverOptions) -> Outcome {
         let start = Instant::now();
         let key = self.cfg.cache.then(|| CacheKey::new(inst, opts));
-        if let Some(key) = &key {
-            if let Some(found) = self.cache.get(key) {
-                return settle(found, start.elapsed(), true);
-            }
+        if let Some(found) = key.as_ref().and_then(|key| self.cache.get(key)) {
+            return settle(found, start.elapsed(), true);
         }
-
-        let solved = match shard::plan(inst, opts) {
-            Some(dec) => self.solve_shards(inst, opts, dec),
-            None => match self.cfg.timeout {
-                None => isolated(|| solve_nested(inst, opts)),
-                Some(budget) => {
-                    let inst = inst.clone();
-                    let opts = opts.clone();
-                    with_budget(move || solve_nested(&inst, &opts), budget)
-                }
-            },
-        };
-        match solved {
-            Ok(deterministic) => {
-                if let Some(key) = key {
-                    self.cache.insert(key, deterministic.clone());
-                    if self.cfg.observe {
-                        self.registry.gauge("engine.cache_entries").set(self.cache.len() as i64);
-                    }
-                }
-                settle(deterministic, start.elapsed(), false)
-            }
-            // Interrupts are transient and never cached.
-            Err(Interrupt::TimedOut) => Outcome::TimedOut,
-            Err(Interrupt::Panicked(msg)) => Outcome::Failed(format!("solver panicked: {msg}")),
-        }
+        self.solve_roots(inst, opts, key, None).0
     }
 
-    /// Shard-parallel solve of a multi-root instance, with per-shard
-    /// cache lookups layered over [`shard::solve_decomposed`].
+    /// Solve `inst` root by root: the one path behind
+    /// [`Engine::solve_one`], [`Engine::open_session`] and
+    /// [`Session::amend`](crate::Session::amend).
     ///
-    /// Shards are normalized to start at slot 0 and solved under a
-    /// sharding-off options fingerprint, so repeated subtree shapes hit
-    /// the solve cache regardless of where in time they occurred; hits
-    /// are counted under `engine.shard_cache_hits`. Shard panics unwind
-    /// into the outer `isolated`/`with_budget` wrapper, containing them
-    /// exactly like monolithic solves.
-    fn solve_shards(
+    /// The instance splits into units (one per forest root when
+    /// [`shard::plan`](crate::shard::plan) decomposes it, else the
+    /// whole instance). Given a session's part `table`, units whose
+    /// content matches one of its parts are spliced in, and the table is
+    /// rebuilt from this solve's units unless the solve is interrupted.
+    /// The rest go through one fan-out that looks each root unit up in
+    /// the engine cache and solves and caches the misses. The fan-out
+    /// runs in place under panic isolation, or, with
+    /// [`EngineConfig::timeout`], on one budget helper thread that owns
+    /// its inputs and reaches the cache through its `Arc`. `memo` is the
+    /// whole-instance key a decomposed instance's merged result is
+    /// memoized under; an undecomposed one is cached as its one unit.
+    pub(crate) fn solve_roots(
         &self,
         inst: &Instance,
         opts: &SolverOptions,
-        dec: Decomposition,
-    ) -> Result<Result<SolveResult, SolveError>, Interrupt> {
+        memo: Option<CacheKey>,
+        table: Option<&mut Parts>,
+    ) -> (Outcome, Reuse) {
+        let start = Instant::now();
+        let split = Split::new(inst.clone(), opts);
+        let (units, slots): (Vec<Instance>, Vec<Option<Part>>) = match &table {
+            Some(prev) => {
+                let units: Vec<Instance> = split.units().into_iter().cloned().collect();
+                let slots = units.iter().map(|u| prev.get(u).map(|p| Ok(Arc::clone(p)))).collect();
+                (units, slots)
+            }
+            None => (Vec::new(), vec![None; split.units().len()]),
+        };
+        let spliced = slots.iter().flatten().count() as u64;
+        let cold = slots.len() as u64 - spliced;
+        let memo = memo.filter(|_| split.is_decomposed());
+        let cache = self.cfg.cache.then(|| Arc::clone(&self.cache));
         let workers = self.cfg.effective_workers();
-        match self.cfg.timeout {
-            None => {
-                let solve_shard = |sinst: &Instance, sopts: &SolverOptions| {
-                    let key = self.cfg.cache.then(|| CacheKey::new(sinst, sopts));
-                    if let Some(key) = &key {
-                        if let Some(found) = self.cache.get(key) {
-                            if self.cfg.observe {
-                                self.registry.counter("engine.shard_cache_hits").inc();
-                            }
-                            return found;
-                        }
-                    }
-                    let res = solve_nested(sinst, sopts);
-                    if let Some(key) = key {
-                        self.cache.insert(key, res.clone());
-                    }
-                    res
-                };
-                isolated(|| shard::solve_decomposed(inst, opts, &dec, workers, solve_shard))
+        let work = move || split.solve(slots, workers, cache.as_deref());
+        let run = match self.cfg.timeout {
+            None => isolated(work),
+            Some(budget) => with_budget(work, budget),
+        };
+        let (outcome, hits) = match run {
+            Ok((combined, parts, hits)) => {
+                // Only successful parts are kept, even when a sibling
+                // failed: content keys stay valid regardless. Consuming
+                // `parts` also drops the last other owner of an
+                // undecomposed result before it is unwrapped.
+                let next: Parts = units
+                    .into_iter()
+                    .zip(parts)
+                    .filter_map(|(unit, part)| Some((unit, part.ok()?)))
+                    .collect();
+                if let Some(table) = table {
+                    *table = next;
+                }
+                if let Some(key) = memo {
+                    self.cache.insert(key, combined.clone());
+                }
+                if self.cfg.cache && self.cfg.observe {
+                    self.registry.gauge("engine.cache_entries").set(self.cache.len() as i64);
+                }
+                (settle(combined, start.elapsed(), false), hits)
             }
-            Some(budget) => {
-                // The budget helper thread needs `'static` work, which
-                // rules out borrowing the cache: budgeted sharded solves
-                // skip the shard-level cache (the whole-instance key
-                // above still memoizes the merged result).
-                let inst = inst.clone();
-                let opts = opts.clone();
-                with_budget(
-                    move || shard::solve_decomposed(&inst, &opts, &dec, workers, solve_nested),
-                    budget,
-                )
+            // Interrupts are transient and never cached.
+            Err(Interrupt::TimedOut) => (Outcome::TimedOut, 0),
+            Err(Interrupt::Panicked(msg)) => {
+                (Outcome::Failed(format!("solver panicked: {msg}")), 0)
             }
-        }
+        };
+        (outcome, Reuse { reused: spliced + hits, solved: cold - hits })
     }
 
     fn build_report(
@@ -478,14 +434,22 @@ impl Engine {
     }
 }
 
+/// How one session solve split its units between reuse and the solver.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Reuse {
+    /// Units spliced from the previous solve or found in the engine cache.
+    pub(crate) reused: u64,
+    /// Units handed to the solver.
+    pub(crate) solved: u64,
+}
+
 /// Map a deterministic solve outcome to an [`Outcome`].
-pub(crate) fn settle(
-    res: Result<SolveResult, SolveError>,
-    elapsed: Duration,
-    cached: bool,
-) -> Outcome {
+fn settle(res: Part, elapsed: Duration, cached: bool) -> Outcome {
     match res {
-        Ok(result) => Outcome::Solved(Box::new(SolvedItem { result, elapsed, cached })),
+        Ok(result) => {
+            let result = Arc::unwrap_or_clone(result);
+            Outcome::Solved(Box::new(SolvedItem { result, elapsed, cached }))
+        }
         Err(SolveError::Infeasible) => Outcome::Infeasible,
         Err(other) => Outcome::Failed(other.to_string()),
     }
@@ -495,6 +459,8 @@ pub(crate) fn settle(
 mod tests {
     use super::*;
     use atsched_core::instance::Job;
+    use atsched_core::solver::solve_nested;
+    use std::thread;
 
     fn inst(g: i64, jobs: Vec<(i64, i64, i64)>) -> Instance {
         Instance::new(g, jobs.into_iter().map(|(r, d, p)| Job::new(r, d, p)).collect()).unwrap()
@@ -758,11 +724,9 @@ mod tests {
         assert_eq!(totals.total(), 10);
     }
 
-    #[test]
-    fn sharded_solve_matches_monolith_and_hits_shard_cache() {
-        use atsched_core::solver::ShardMode;
-        // 8 roots, 24 jobs: over the Auto floor, and the subtree shape
-        // repeats so normalized shard cache keys must collide.
+    /// 8 roots, 24 jobs: over the Auto floor, and the subtree shape
+    /// repeats so normalized shard cache keys must collide.
+    fn eight_roots() -> Instance {
         let mut jobs = Vec::new();
         for k in 0..8i64 {
             let base = 12 * k;
@@ -770,7 +734,13 @@ mod tests {
             jobs.push((base + 1, base + 4, 1));
             jobs.push((base + 5, base + 7, 1));
         }
-        let many_root = inst(2, jobs);
+        inst(2, jobs)
+    }
+
+    #[test]
+    fn sharded_solve_matches_monolith_and_hits_shard_cache() {
+        use atsched_core::solver::ShardMode;
+        let many_root = eight_roots();
         let opts = SolverOptions::exact();
         assert_eq!(opts.shard, ShardMode::Auto);
 
@@ -805,6 +775,15 @@ mod tests {
         let mono = mono.as_solved().expect("solved");
         assert_eq!(mono.result.stats.opened_slots, item.result.stats.opened_slots);
         assert_eq!(mono.result.stats.active_slots, item.result.stats.active_slots);
+    }
+
+    #[test]
+    fn budgeted_solves_keep_the_shard_cache() {
+        let engine =
+            Engine::new(EngineConfig::default().workers(1).timeout(Duration::from_secs(60)));
+        assert!(engine.solve_one(&eight_roots(), &SolverOptions::exact()).is_solved());
+        let snap = engine.registry().snapshot();
+        assert_eq!(snap.counter("engine.shard_cache_hits"), Some(7), "{snap:?}");
     }
 
     #[test]

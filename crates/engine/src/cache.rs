@@ -12,9 +12,13 @@
 //! O(1) expected lookups. The job *sequence* (not the sorted multiset)
 //! is deliberate: `SolveResult` assignments refer to jobs by index, so a
 //! result is only valid for the exact order it was solved under.
+//!
+//! Results are stored as shared `Arc` parts: a hit is a pointer copy, and
+//! a root result held by a session's part table is stored once.
 
+use crate::shard::Part;
 use atsched_core::instance::{Instance, Job};
-use atsched_core::solver::{SolveError, SolveResult, SolverOptions};
+use atsched_core::solver::SolverOptions;
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
@@ -76,7 +80,7 @@ impl CacheStats {
 /// Map plus FIFO insertion order, updated together under one lock.
 #[derive(Debug, Default)]
 struct CacheTable {
-    map: HashMap<CacheKey, Result<SolveResult, SolveError>>,
+    map: HashMap<CacheKey, Part>,
     /// Keys in insertion order; the front is the next eviction victim.
     order: VecDeque<CacheKey>,
 }
@@ -118,7 +122,7 @@ impl SolveCache {
     }
 
     /// Look up a key, bumping the hit/miss counters.
-    pub(crate) fn get(&self, key: &CacheKey) -> Option<Result<SolveResult, SolveError>> {
+    pub(crate) fn get(&self, key: &CacheKey) -> Option<Part> {
         let found = self.table.lock().expect("cache lock").map.get(key).cloned();
         match &found {
             Some(_) => self.hits.fetch_add(1, Ordering::Relaxed),
@@ -129,7 +133,7 @@ impl SolveCache {
 
     /// Store a deterministic outcome, evicting the oldest entries if the
     /// capacity bound would be exceeded.
-    pub(crate) fn insert(&self, key: CacheKey, value: Result<SolveResult, SolveError>) {
+    pub(crate) fn insert(&self, key: CacheKey, value: Part) {
         let mut table = self.table.lock().expect("cache lock");
         if table.map.insert(key.clone(), value).is_none() {
             table.order.push_back(key);
@@ -162,6 +166,11 @@ impl SolveCache {
 mod tests {
     use super::*;
     use atsched_core::solver::solve_nested;
+    use std::sync::Arc;
+
+    fn solve(i: &Instance, opts: &SolverOptions) -> Part {
+        solve_nested(i, opts).map(Arc::new)
+    }
 
     fn inst(g: i64, jobs: Vec<(i64, i64, i64)>) -> Instance {
         Instance::new(g, jobs.into_iter().map(|(r, d, p)| Job::new(r, d, p)).collect()).unwrap()
@@ -333,7 +342,7 @@ mod tests {
         let key = CacheKey::new(&i, &opts);
 
         assert!(cache.get(&key).is_none());
-        cache.insert(key.clone(), solve_nested(&i, &opts));
+        cache.insert(key.clone(), solve(&i, &opts));
         assert!(cache.get(&key).is_some());
         assert!(cache.get(&key).is_some());
 
@@ -351,7 +360,7 @@ mod tests {
         let keys: Vec<CacheKey> = instances.iter().map(|i| CacheKey::new(i, &opts)).collect();
 
         for (i, k) in instances.iter().zip(&keys) {
-            cache.insert(k.clone(), solve_nested(i, &opts));
+            cache.insert(k.clone(), solve(i, &opts));
         }
         // Capacity 2: the third insert displaced the first key.
         assert_eq!(cache.len(), 2);
@@ -362,12 +371,12 @@ mod tests {
 
         // Re-inserting an existing key replaces in place: no eviction,
         // no duplicate order entry.
-        cache.insert(keys[1].clone(), solve_nested(&instances[1], &opts));
+        cache.insert(keys[1].clone(), solve(&instances[1], &opts));
         assert_eq!(cache.len(), 2);
         assert_eq!(cache.stats().evictions, 1);
 
         // The evicted instance can be cached again afterwards.
-        cache.insert(keys[0].clone(), solve_nested(&instances[0], &opts));
+        cache.insert(keys[0].clone(), solve(&instances[0], &opts));
         assert!(cache.get(&keys[0]).is_some());
         assert_eq!(cache.len(), 2);
         assert_eq!(cache.stats().evictions, 2);
@@ -379,7 +388,7 @@ mod tests {
         let opts = SolverOptions::exact();
         for g in 1..=20 {
             let i = inst(g, vec![(0, 6, 2)]);
-            cache.insert(CacheKey::new(&i, &opts), solve_nested(&i, &opts));
+            cache.insert(CacheKey::new(&i, &opts), solve(&i, &opts));
         }
         assert_eq!(cache.len(), 20);
         assert_eq!(cache.stats().evictions, 0);

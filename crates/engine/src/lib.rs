@@ -7,18 +7,20 @@
 //! `atsched batch` CLI — wants to push *streams* of instances through it.
 //! This crate provides that layer:
 //!
-//! - **Dispatcher** ([`Engine::solve_batch`]): a bounded-queue fan-out to
-//!   a fixed worker pool over crossbeam channels. Workers pull items as
-//!   they free up (work stealing via the shared MPMC queue), and results
-//!   are collected back in *input order*, so batch output is positionally
-//!   identical to a sequential `map`.
+//! - **Dispatcher** ([`Engine::solve_batch`]): [`par_map_workers`] over
+//!   the corpus — a bounded-queue fan-out to a fixed worker pool over
+//!   crossbeam channels. Workers pull items as they free up (work
+//!   stealing via the shared MPMC queue), and results are collected back
+//!   in *input order*, so batch output is positionally identical to a
+//!   sequential `map`.
 //! - **Solve cache** ([`cache`]): memoizes deterministic solve results,
 //!   keyed by the instance's full content (`g` + the exact job sequence)
 //!   plus a fingerprint of the solver options. Content keying — not
 //!   hash-only keying — makes false hits impossible. Hit/miss counters
 //!   are kept per engine and reported per batch.
 //! - **Isolation** ([`Outcome`]): each solve runs under
-//!   `catch_unwind`, and optionally under a wall-clock budget; a panicking
+//!   `catch_unwind`, and optionally under a wall-clock budget
+//!   ([`EngineConfig::timeout`], session solves included); a panicking
 //!   or overrunning instance yields [`Outcome::Failed`] /
 //!   [`Outcome::TimedOut`] without disturbing its neighbors.
 //! - **Observability** ([`report`]): every batch produces a
@@ -32,6 +34,10 @@
 //!   laminar forest roots and their trees solved concurrently *within*
 //!   one solve (policy via `SolverOptions::shard`), with shard-level
 //!   cache keys so repeated subtree shapes hit the solve cache.
+//!   [`Engine::solve_one`], [`Engine::open_session`] and
+//!   [`Session::amend`] share this one root-solve path, budget and
+//!   cache included; results are shared `Arc` parts, so a cache hit or
+//!   a session splice is a pointer copy.
 //!
 //! ## Example
 //!

@@ -32,6 +32,10 @@ where
 }
 
 /// [`par_map`] with an explicit worker count (`0` means one per core).
+///
+/// A worker panic propagates once the pool has drained: the survivors
+/// finish the queue, and when every worker has died the feeder stops
+/// instead of blocking on the full queue.
 pub fn par_map_workers<T, R, F>(items: Vec<T>, workers: usize, f: F) -> Vec<R>
 where
     T: Send,
@@ -64,9 +68,14 @@ where
                 }
             });
         }
+        // Only the workers hold receivers, so a send fails once all of
+        // them have died; the scope then re-raises their panic.
+        drop(rx);
         drop(out_tx);
         for (i, item) in items.into_iter().enumerate() {
-            tx.send((i, item)).expect("workers alive");
+            if tx.send((i, item)).is_err() {
+                break;
+            }
         }
         drop(tx);
     });
@@ -113,6 +122,24 @@ mod tests {
         });
         assert_eq!(out.len(), 500);
         assert_eq!(count.load(Ordering::Relaxed), 500);
+    }
+
+    #[test]
+    fn panics_on_every_worker_propagate_instead_of_hanging() {
+        use std::sync::mpsc;
+        use std::time::Duration;
+        let (tx, rx) = mpsc::channel();
+        let run = thread::spawn(move || {
+            let res = std::panic::catch_unwind(|| {
+                par_map_workers((0..64).collect(), 2, |_: i32| -> i32 { panic!("worker down") })
+            });
+            tx.send(res.is_err()).expect("test thread waits");
+        });
+        let propagated = rx
+            .recv_timeout(Duration::from_secs(10))
+            .expect("par_map_workers hung after every worker panicked");
+        assert!(propagated);
+        run.join().expect("the panic was caught");
     }
 
     #[test]

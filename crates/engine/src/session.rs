@@ -8,26 +8,25 @@
 //!    laminar forest roots ([`crate::shard::plan`]); shards whose
 //!    *normalized content* (machine parallelism + exact job list, after
 //!    shifting the root window to slot 0) matches a part of the previous
-//!    solve are spliced in without touching the solver. Content keying
+//!    solve are spliced in without touching the solver. Parts are
+//!    shared (`Arc`), so a splice is a pointer copy. Content keying
 //!    makes splices bit-identical by construction — there is nothing to
 //!    re-verify per shard, and [`atsched_core::decompose::merge`]
 //!    re-verifies the assembled schedule end to end anyway.
 //! 2. **Engine cache.** Dirty shards first consult the engine's solve
 //!    cache (shared with [`Engine::solve_batch`]), so a shard shape seen
-//!    anywhere before — by any session or batch — is reused.
+//!    anywhere before — by any session or batch, or earlier in the same
+//!    solve — is reused.
 //! 3. **Cold solve.** A genuinely dirty shard is solved with
-//!    [`solve_nested`] under [`shard::shard_options`], exactly as
-//!    [`Engine::solve_one`] solves it: under the options' `lp` strategy
-//!    (by default tree path, then hybrid, then the exact simplex).
+//!    [`solve_nested`](atsched_core::solver::solve_nested) under
+//!    [`shard_options`](crate::shard::shard_options).
 //!
-//! The invariant is absolute: **any amend sequence yields exactly the
-//! result a cold solve of the final instance would**. Layers 1 and 2
-//! reuse only content-identical results, and layer 3 is the cold solve.
-//!
-//! Sessions deliberately ignore [`EngineConfig::timeout`]: the splice
-//! bookkeeping needs borrowed state that the budget helper thread's
-//! `'static` bound rules out, and amends are expected to be fast by
-//! design. Panics are still contained per solve.
+//! Layers 2 and 3 are the root solve every [`Engine::solve_one`] runs,
+//! under the same panic isolation and [`EngineConfig::timeout`] budget;
+//! a session only adds layer 1. The invariant is absolute: **any amend
+//! sequence yields exactly the result a cold solve of the final
+//! instance would**. Layers 1 and 2 reuse only content-identical
+//! results, and layer 3 is the cold solve.
 //!
 //! ## Lifecycle
 //!
@@ -53,15 +52,10 @@
 //!
 //! [`EngineConfig::timeout`]: crate::EngineConfig::timeout
 
-use crate::batch::{settle, Engine, Outcome};
-use crate::cache::CacheKey;
-use crate::isolate::{isolated, Interrupt};
-use crate::par::par_map_workers;
-use crate::shard;
-use atsched_core::decompose::merge;
+use crate::batch::{Engine, Outcome};
 use atsched_core::delta::{apply, DeltaError, JobDelta};
-use atsched_core::instance::{Instance, Job};
-use atsched_core::solver::{solve_nested, SolveError, SolveResult, SolverOptions};
+use atsched_core::instance::Instance;
+use atsched_core::solver::{SolveResult, SolverOptions};
 use atsched_obs as obs;
 use std::collections::HashMap;
 use std::fmt;
@@ -103,20 +97,10 @@ pub(crate) struct SessionTable {
     map: Mutex<HashMap<u64, Arc<Mutex<SessionState>>>>,
 }
 
-/// Content key for a previously solved part: machine parallelism plus
-/// the exact (normalized) job list. Two shards with equal keys are the
-/// same solver input, so their results are interchangeable bit for bit.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
-struct PartKey {
-    g: i64,
-    jobs: Vec<Job>,
-}
-
-impl PartKey {
-    fn of(inst: &Instance) -> Self {
-        PartKey { g: inst.g, jobs: inst.jobs.clone() }
-    }
-}
+/// A session's solved parts, keyed by their (normalized) instance: two
+/// shards with equal content are the same solver input, so their results
+/// are interchangeable bit for bit.
+pub(crate) type Parts = HashMap<Instance, Arc<SolveResult>>;
 
 /// Everything a session carries between amends.
 #[derive(Debug)]
@@ -127,19 +111,10 @@ struct SessionState {
     opts: SolverOptions,
     /// Outcome of the most recent solve.
     outcome: Outcome,
-    /// Per-part results of the previous solve, keyed by normalized
-    /// content. Rebuilt on every solve, so it never outgrows the
-    /// current decomposition.
-    parts: HashMap<PartKey, SolveResult>,
-}
-
-/// How one session solve split its parts between reuse and the solver.
-#[derive(Debug, Clone, Copy)]
-struct Reuse {
-    /// Parts spliced from the previous solve or found in the engine cache.
-    reused: u64,
-    /// Dirty parts handed to [`solve_nested`].
-    solved: u64,
+    /// Per-part results of the previous solve. Rebuilt on every solve
+    /// that is not interrupted, so it never outgrows the current
+    /// decomposition.
+    parts: Parts,
 }
 
 /// A live incremental-solving session (see the [module docs](self)).
@@ -160,15 +135,11 @@ impl Engine {
     /// The options are fixed for the session's lifetime. The initial
     /// solve records into `engine.open_ms`.
     pub fn open_session(&self, inst: Instance, opts: &SolverOptions) -> Session<'_> {
-        let mut state = SessionState {
-            instance: inst,
-            opts: opts.clone(),
-            outcome: Outcome::Failed("session not yet solved".into()),
-            parts: HashMap::new(),
-        };
         let start = Instant::now();
-        state.outcome = self.observed(|| self.session_solve(&mut state)).0;
-        self.tally(&state.outcome);
+        let mut parts = Parts::new();
+        let (outcome, _) = self.observed(|| self.solve_roots(&inst, opts, None, Some(&mut parts)));
+        self.tally(&outcome);
+        let state = SessionState { instance: inst, opts: opts.clone(), outcome, parts };
         if self.cfg.observe {
             self.registry.histogram("engine.open_ms").record(start.elapsed().as_secs_f64() * 1e3);
         }
@@ -196,8 +167,8 @@ impl Engine {
     }
 
     /// Close a session, dropping its cached parts. Returns whether the
-    /// id was open. (Results already copied into the engine's solve
-    /// cache stay there.)
+    /// id was open. (Parts shared with the engine's solve cache stay
+    /// there.)
     pub fn close_session(&self, id: SessionId) -> bool {
         let (removed, open) = {
             let mut map = self.sessions.map.lock().expect("session table lock");
@@ -212,149 +183,6 @@ impl Engine {
     /// Number of currently open sessions.
     pub fn open_sessions(&self) -> usize {
         self.sessions.map.lock().expect("session table lock").len()
-    }
-
-    /// Solve `state.instance`, splicing previous parts where the
-    /// decomposition's content matches and solving the rest cold.
-    ///
-    /// Each dirty shard's result is cached under its shard key. The
-    /// merged result of a decomposed instance is not cached: amends never
-    /// look it up, and a cold solve of the same instance rebuilds it from
-    /// the shard entries. An undecomposed instance is cached under its
-    /// whole-instance key, its only entry.
-    fn session_solve(&self, state: &mut SessionState) -> (Outcome, Reuse) {
-        let start = Instant::now();
-        let inst = &state.instance;
-        let opts = &state.opts;
-        let prev_parts = std::mem::take(&mut state.parts);
-        let mut next_parts: HashMap<PartKey, SolveResult> = HashMap::new();
-        let mut reused = 0u64;
-        let mut dirty_solved = 0u64;
-        let mut decomposed = false;
-
-        let solved: Result<Result<SolveResult, SolveError>, Interrupt> = isolated(|| {
-            match shard::plan(inst, opts) {
-                Some(dec) => {
-                    decomposed = true;
-                    let sopts = shard::shard_options(opts);
-                    let n = dec.len();
-                    // Resolution pass: splice from session parts, then
-                    // from the engine cache; everything else is dirty.
-                    let mut slots: Vec<Option<Result<SolveResult, SolveError>>> =
-                        (0..n).map(|_| None).collect();
-                    let mut dirty: Vec<usize> = Vec::new();
-                    for (i, sh) in dec.shards.iter().enumerate() {
-                        if let Some(part) = prev_parts.get(&PartKey::of(&sh.instance)) {
-                            reused += 1;
-                            slots[i] = Some(Ok(part.clone()));
-                        } else if let Some(found) = self
-                            .cfg
-                            .cache
-                            .then(|| CacheKey::new(&sh.instance, &sopts))
-                            .and_then(|k| self.cache.get(&k))
-                        {
-                            if self.cfg.observe {
-                                self.registry.counter("engine.shard_cache_hits").inc();
-                            }
-                            reused += 1;
-                            slots[i] = Some(found);
-                        } else {
-                            dirty.push(i);
-                        }
-                    }
-                    dirty_solved += dirty.len() as u64;
-
-                    // Fan the dirty shards out.
-                    let workers = self.cfg.effective_workers();
-                    let collector = obs::current_collector();
-                    let dirty_out = par_map_workers(dirty, workers, |i| {
-                        let run = || solve_nested(&dec.shards[i].instance, &sopts);
-                        let res = match &collector {
-                            Some(c) => obs::with_collector(c.clone(), run),
-                            None => run(),
-                        };
-                        (i, res)
-                    });
-                    for (i, res) in dirty_out {
-                        if self.cfg.cache {
-                            let key = CacheKey::new(&dec.shards[i].instance, &sopts);
-                            self.cache.insert(key, res.clone());
-                        }
-                        slots[i] = Some(res);
-                    }
-
-                    // Combine in root order; the first error wins,
-                    // matching both the monolithic solve and
-                    // [`shard::solve_decomposed`]. Successful parts are
-                    // kept for future amends even when a sibling failed —
-                    // content keys stay valid regardless.
-                    let mut parts: Vec<SolveResult> = Vec::with_capacity(n);
-                    let mut first_err: Option<SolveError> = None;
-                    for (sh, slot) in dec.shards.iter().zip(slots) {
-                        match slot.expect("every shard resolved") {
-                            Ok(r) => {
-                                next_parts.insert(PartKey::of(&sh.instance), r.clone());
-                                if first_err.is_none() {
-                                    parts.push(r);
-                                }
-                            }
-                            Err(e) => {
-                                if first_err.is_none() {
-                                    first_err = Some(e);
-                                }
-                            }
-                        }
-                    }
-                    match first_err {
-                        Some(e) => Err(e),
-                        None => {
-                            let span = obs::Span::enter("solve.merge");
-                            let merged = merge(inst, &dec, &parts);
-                            drop(span);
-                            obs::counter_add("engine.shards", n as u64);
-                            Ok(merged)
-                        }
-                    }
-                }
-                // Single-root (or sharding-off) instances degenerate to
-                // one pseudo-shard: splice on identical content, solve
-                // cold otherwise.
-                None => {
-                    let key = PartKey::of(inst);
-                    if let Some(part) = prev_parts.get(&key) {
-                        reused += 1;
-                        let part = part.clone();
-                        next_parts.insert(key, part.clone());
-                        Ok(part)
-                    } else {
-                        dirty_solved += 1;
-                        let res = solve_nested(inst, opts);
-                        if let Ok(result) = &res {
-                            next_parts.insert(key, result.clone());
-                        }
-                        res
-                    }
-                }
-            }
-        });
-
-        state.parts = next_parts;
-        let outcome = match solved {
-            Ok(deterministic) => {
-                if self.cfg.cache {
-                    if !decomposed {
-                        self.cache.insert(CacheKey::new(inst, opts), deterministic.clone());
-                    }
-                    if self.cfg.observe {
-                        self.registry.gauge("engine.cache_entries").set(self.cache.len() as i64);
-                    }
-                }
-                settle(deterministic, start.elapsed(), false)
-            }
-            Err(Interrupt::TimedOut) => Outcome::TimedOut, // unreachable: sessions never budget
-            Err(Interrupt::Panicked(msg)) => Outcome::Failed(format!("solver panicked: {msg}")),
-        };
-        (outcome, Reuse { reused, solved: dirty_solved })
     }
 }
 
@@ -391,7 +219,8 @@ impl Session<'_> {
         let start = Instant::now();
         let (outcome, reuse) = self.engine.observed(|| {
             let _span = obs::Span::enter("amend");
-            self.engine.session_solve(&mut st)
+            let SessionState { instance, opts, parts, .. } = &mut *st;
+            self.engine.solve_roots(instance, opts, None, Some(parts))
         });
         st.outcome = outcome.clone();
         drop(st);
@@ -417,6 +246,7 @@ impl Session<'_> {
 mod tests {
     use super::*;
     use crate::batch::EngineConfig;
+    use atsched_core::instance::Job;
     use atsched_core::solver::{LpAnswer, LpStrategy, ShardMode};
 
     fn inst(g: i64, jobs: Vec<(i64, i64, i64)>) -> Instance {
@@ -640,13 +470,17 @@ mod tests {
         let engine = Engine::new(EngineConfig::default().workers(1));
         let session = engine.open_session(many_root(4), &force);
         assert_eq!(engine.cache_len(), 1);
+        // The open solved the repeated root shape once and hit it thrice.
+        let hits = |e: &Engine| e.registry().snapshot().counter("engine.shard_cache_hits");
+        assert_eq!(hits(&engine), Some(3));
         session.amend(&JobDelta::new().modify_window(4, 13, 17)).unwrap();
         assert_eq!(engine.cache_len(), 2, "one new shard entry, no merged copy");
         // A cold solve of the session's instance misses the whole-instance
         // key and is rebuilt from the four cached shards plus one merge.
+        let before = hits(&engine).unwrap_or(0);
         let cold = engine.solve_one(&session.instance(), &force);
         assert!(!cold.as_solved().expect("solved").cached);
-        assert_eq!(engine.registry().snapshot().counter("engine.shard_cache_hits"), Some(4));
+        assert_eq!(hits(&engine), Some(before + 4));
         assert_bit_identical(&session.outcome(), &cold);
 
         // Undecomposed (one root): the whole instance is the only entry,
@@ -658,5 +492,38 @@ mod tests {
         let cold = engine.solve_one(&single, &force);
         assert!(cold.as_solved().expect("solved").cached);
         assert_bit_identical(&session.outcome(), &cold);
+    }
+
+    #[test]
+    fn untouched_roots_share_their_part_across_amends() {
+        let force = SolverOptions { shard: ShardMode::Force, ..SolverOptions::exact() };
+        let engine = Engine::new(EngineConfig::default().workers(1));
+        let session = engine.open_session(many_root(4), &force);
+        // The four roots normalize to one shape, the table's one part.
+        let part = |session: &Session| {
+            let st = session.state.lock().unwrap();
+            let (shape, part) = st.parts.iter().next().expect("one part");
+            (shape.clone(), Arc::clone(part))
+        };
+        let (shape, before) = part(&session);
+        session.amend(&JobDelta::new().modify_window(4, 13, 17)).unwrap();
+        let after = Arc::clone(&session.state.lock().unwrap().parts[&shape]);
+        assert!(Arc::ptr_eq(&before, &after), "a splice must not copy the part");
+    }
+
+    #[test]
+    fn sessions_honour_the_engine_budget() {
+        use atsched_workloads::generators::{random_multi_root, LaminarConfig, MultiRootConfig};
+        // A 48-root open takes far longer than 1 ms.
+        let cfg = MultiRootConfig {
+            base: LaminarConfig { g: 4, horizon: 48, ..LaminarConfig::default() },
+            roots: 48,
+            gap: 1,
+        };
+        let engine =
+            Engine::new(EngineConfig::default().timeout(std::time::Duration::from_millis(1)));
+        let session = engine.open_session(random_multi_root(&cfg, 0), &SolverOptions::exact());
+        assert!(matches!(session.outcome(), Outcome::TimedOut), "{}", session.outcome().label());
+        assert_eq!(engine.totals().timed_out, 1);
     }
 }

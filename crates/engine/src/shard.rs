@@ -1,25 +1,31 @@
-//! Shard-parallel solving: fan the trees of a multi-root instance out
-//! to worker threads and merge the per-tree results.
+//! Root-parallel solving: split a multi-root instance at its laminar
+//! forest roots, solve the trees on worker threads, and merge.
 //!
 //! The decomposition itself lives in [`atsched_core::decompose`]; this
 //! module is the driver side: the *policy* deciding when sharding
-//! applies ([`plan`]), the fan-out/merge harness ([`solve_decomposed`]),
-//! and a cache-less convenience entry point used by the `Solve` facade
-//! and the CLI ([`solve_nested_sharded`]). The batch engine layers its
-//! solve cache on top via the `solve_shard` callback, giving shard-level
-//! cache keys: identical subtree shapes (normalized to start at slot 0)
-//! hit regardless of where in time they occurred.
+//! applies ([`plan`]), the options a root is solved under
+//! ([`shard_options`]), and the one fan-out and combine every root solve
+//! runs. The engine's root solve (behind `Engine::solve_one`,
+//! `Engine::open_session` and `Session::amend`) passes its solve cache,
+//! giving root-level cache keys: identical subtree shapes (normalized to
+//! start at slot 0) hit regardless of where in time they occurred.
+//! [`solve_nested_sharded`] is the cache-less caller used by the `Solve`
+//! facade and the CLI.
 //!
 //! Observability: the decomposition is timed under a `solve.decompose`
-//! span, the reassembly under `solve.merge`, and each sharded solve
-//! bumps the `engine.shards` counter by its shard count.
+//! span, the reassembly under `solve.merge`, each root answered by the
+//! cache bumps `engine.shard_cache_hits`, and each merged solve bumps
+//! the `engine.shards` counter by its root count.
 
+use crate::cache::{CacheKey, SolveCache};
 use crate::par::par_map_workers;
 use atsched_core::decompose::{decompose, merge, Decomposition};
 use atsched_core::instance::Instance;
 use atsched_core::rounding::RoundingChoice;
 use atsched_core::solver::{solve_nested, ShardMode, SolveError, SolveResult, SolverOptions};
 use atsched_obs as obs;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 
 /// Minimum job count before [`ShardMode::Auto`] decomposes. Below this
 /// the per-shard LPs are already tiny and the thread fan-out costs more
@@ -59,58 +65,125 @@ pub fn shard_options(opts: &SolverOptions) -> SolverOptions {
     SolverOptions { shard: ShardMode::Off, ..opts.clone() }
 }
 
-/// Solve a decomposed instance: run `solve_shard` over every shard on up
-/// to `workers` threads (`0` = one per core), then merge.
+/// One unit's deterministic result. Results are shared, so a splice or
+/// a cache hit is a pointer copy.
+pub(crate) type Part = Result<Arc<SolveResult>, SolveError>;
+
+/// An instance split into the units of a root solve: one normalized
+/// shard per forest root, under [`shard_options`], when [`plan`]
+/// decomposes it; else the whole instance under its own options.
 ///
-/// `solve_shard` receives each shard's normalized instance together with
-/// [`shard_options`]; the batch engine passes a caching wrapper here,
-/// plain callers pass [`solve_nested`]. The caller's metric collector
-/// (if any) is re-installed on the fan-out threads, so per-shard solver
-/// spans and counters land in the same registry as a monolithic solve.
-/// Errors are reported deterministically: the first failing shard in
-/// root order wins, matching what the monolithic solve would report.
-pub fn solve_decomposed<F>(
-    inst: &Instance,
-    opts: &SolverOptions,
-    dec: &Decomposition,
-    workers: usize,
-    solve_shard: F,
-) -> Result<SolveResult, SolveError>
-where
-    F: Fn(&Instance, &SolverOptions) -> Result<SolveResult, SolveError> + Sync,
-{
-    let sopts = shard_options(opts);
-    let collector = obs::current_collector();
-    let indices: Vec<usize> = (0..dec.len()).collect();
-    let results = par_map_workers(indices, workers, |i| {
-        let run = || solve_shard(&dec.shards[i].instance, &sopts);
-        match &collector {
-            Some(c) => obs::with_collector(c.clone(), run),
-            None => run(),
-        }
-    });
-    let mut parts = Vec::with_capacity(results.len());
-    for r in results {
-        parts.push(r?);
+/// A split owns its instance, so a budgeted solve can move it onto its
+/// helper thread.
+#[derive(Debug)]
+pub(crate) struct Split {
+    inst: Instance,
+    dec: Option<Decomposition>,
+    opts: SolverOptions,
+}
+
+impl Split {
+    pub(crate) fn new(inst: Instance, opts: &SolverOptions) -> Self {
+        let dec = plan(&inst, opts);
+        let opts = if dec.is_some() { shard_options(opts) } else { opts.clone() };
+        Split { inst, dec, opts }
     }
-    let span = obs::Span::enter("solve.merge");
-    let merged = merge(inst, dec, &parts);
-    drop(span);
-    obs::counter_add("engine.shards", dec.len() as u64);
-    Ok(merged)
+
+    /// Whether the instance split at its roots.
+    pub(crate) fn is_decomposed(&self) -> bool {
+        self.dec.is_some()
+    }
+
+    /// The units, in root order.
+    pub(crate) fn units(&self) -> Vec<&Instance> {
+        match &self.dec {
+            Some(dec) => dec.shards.iter().map(|s| &s.instance).collect(),
+            None => vec![&self.inst],
+        }
+    }
+
+    /// Resolve every empty slot on up to `workers` threads (`0` = one
+    /// per core), then combine the units in root order.
+    ///
+    /// `slots` is positionally parallel to [`Split::units`]; filled
+    /// slots (a session's splices) are kept as they are. With a `cache`,
+    /// each root unit is looked up first and every solved unit is
+    /// inserted under its key. An undecomposed unit is not looked up:
+    /// its key is the whole instance's, which `Engine::solve_one` has
+    /// already looked up.
+    ///
+    /// The caller's metric collector (if any) is re-installed on the
+    /// fan-out threads, so per-root solver spans and counters land in
+    /// the same registry as a monolithic solve.
+    ///
+    /// Returns the combined result, every unit's result and the number
+    /// of units the cache answered. The first failing unit in root order
+    /// wins, matching what the monolithic solve would report.
+    pub(crate) fn solve(
+        &self,
+        mut slots: Vec<Option<Part>>,
+        workers: usize,
+        cache: Option<&SolveCache>,
+    ) -> (Part, Vec<Part>, u64) {
+        let units = self.units();
+        let cold: Vec<usize> = (0..units.len()).filter(|&i| slots[i].is_none()).collect();
+        let collector = obs::current_collector();
+        let hits = AtomicU64::new(0);
+        let solved = par_map_workers(cold.clone(), workers, |i| {
+            let run = || {
+                let keyed = cache.map(|cache| (cache, CacheKey::new(units[i], &self.opts)));
+                if let Some((cache, key)) = keyed.as_ref().filter(|_| self.is_decomposed()) {
+                    if let Some(found) = cache.get(key) {
+                        obs::counter_add("engine.shard_cache_hits", 1);
+                        hits.fetch_add(1, Ordering::Relaxed);
+                        return found;
+                    }
+                }
+                let part = solve_nested(units[i], &self.opts).map(Arc::new);
+                if let Some((cache, key)) = keyed {
+                    cache.insert(key, part.clone());
+                }
+                part
+            };
+            match &collector {
+                Some(c) => obs::with_collector(c.clone(), run),
+                None => run(),
+            }
+        });
+        for (i, part) in cold.into_iter().zip(solved) {
+            slots[i] = Some(part);
+        }
+        let parts: Vec<Part> = slots.into_iter().map(|s| s.expect("every unit resolved")).collect();
+        (self.combine(&parts), parts, hits.into_inner())
+    }
+
+    fn combine(&self, parts: &[Part]) -> Part {
+        let Some(dec) = &self.dec else {
+            return parts[0].clone();
+        };
+        let parts: Vec<&SolveResult> = parts
+            .iter()
+            .map(|p| p.as_deref().map_err(SolveError::clone))
+            .collect::<Result<_, _>>()?;
+        let span = obs::Span::enter("solve.merge");
+        let merged = merge(&self.inst, dec, &parts);
+        drop(span);
+        obs::counter_add("engine.shards", dec.len() as u64);
+        Ok(Arc::new(merged))
+    }
 }
 
 /// Shard-aware drop-in for [`solve_nested`]: decompose-and-merge when
 /// [`plan`] says so, the plain monolithic solve otherwise. No caching —
-/// the batch engine's path adds that.
+/// the engine's root solve adds that.
 pub fn solve_nested_sharded(
     inst: &Instance,
     opts: &SolverOptions,
 ) -> Result<SolveResult, SolveError> {
-    match plan(inst, opts) {
-        Some(dec) => solve_decomposed(inst, opts, &dec, 0, solve_nested),
-        None => solve_nested(inst, opts),
-    }
+    let split = Split::new(inst.clone(), opts);
+    let (combined, parts, _) = split.solve(vec![None; split.units().len()], 0, None);
+    drop(parts); // the last other owner of an undecomposed result
+    combined.map(Arc::unwrap_or_clone)
 }
 
 #[cfg(test)]

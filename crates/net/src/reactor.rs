@@ -408,7 +408,7 @@ impl Core {
     }
 }
 
-/// Owns a [`Core`] and a [`Service`]; `run` is the event loop.
+/// Owns a `Core` and a [`Service`]; `run` is the event loop.
 pub struct Reactor<S: Service> {
     core: Core,
     service: S,

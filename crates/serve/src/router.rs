@@ -2,7 +2,7 @@
 //! placement of instances across worker shards.
 //!
 //! Each router worker owns one [`atsched_net::Reactor`] (an event loop
-//! with its own connections), one admission queue and one [`Engine`].
+//! with its own connections), one admission queue and one [`atsched_engine::Engine`].
 //! Accepted connections are distributed round-robin across reactors;
 //! *requests* are then routed by content: an instance consistent-hashes
 //! — keyed on its dominant [`atsched_core::decompose`] shard so

@@ -7,7 +7,7 @@
 //! * an optional plain-HTTP listener (`ServerConfig::metrics_addr`) so
 //!   an off-the-shelf scraper can `GET /metrics` without speaking the
 //!   JSON-frame protocol. Any other path returns the full
-//!   [`StatsReply`] snapshot as JSON.
+//!   [`StatsReply`](crate::protocol::StatsReply) snapshot as JSON.
 //!
 //! The exposition is the conventional flat text format: one
 //! `name value` line per sample, metric names with dots replaced by

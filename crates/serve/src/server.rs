@@ -888,59 +888,28 @@ fn execute_solve(
     include_schedule: bool,
 ) -> Response {
     let start = Instant::now();
-    // Auto-dispatch mirrors the `Solve` facade: nested when laminar.
-    let method = match method {
-        Method::Auto => {
-            if inst.check_laminar().is_ok() {
-                Method::Nested
-            } else {
-                Method::General
-            }
-        }
-        other => other,
-    };
+    let method = method.resolve(&inst);
     if method == Method::Nested {
         // Nested solves go through the shard engine so repeats across
         // requests (and clients) hit its content-keyed cache — and the
         // consistent-hash routing sends repeats to the same shard.
-        let outcome = match timeout {
-            None => shared.shards[shard_idx].engine.solve_one(&inst, &opts),
-            Some(budget) => {
-                let engine_shared = Arc::clone(shared);
-                let inst = inst.clone();
-                let opts = opts.clone();
-                match with_budget(
-                    move || engine_shared.shards[shard_idx].engine.solve_one(&inst, &opts),
-                    budget,
-                ) {
-                    Ok(outcome) => outcome,
-                    Err(Interrupt::TimedOut) => Outcome::TimedOut,
-                    Err(Interrupt::Panicked(msg)) => Outcome::Failed(msg),
-                }
-            }
-        };
+        let outcome =
+            within(shared, timeout, move |s| s.shards[shard_idx].engine.solve_one(&inst, &opts))
+                .unwrap_or_else(|interrupt| match interrupt {
+                    Interrupt::TimedOut => Outcome::TimedOut,
+                    Interrupt::Panicked(msg) => Outcome::Failed(msg),
+                });
         let elapsed_ms = start.elapsed().as_secs_f64() * 1e3;
-        match outcome {
-            Outcome::Solved(item) => Response::ok_solve(
-                id,
-                SolveReply {
-                    active_slots: item.result.schedule.active_time() as u64,
-                    method: "nested".into(),
-                    certified_ratio: Some(item.result.stats.opened_over_lp),
-                    cached: item.cached,
-                    elapsed_ms,
-                    schedule: include_schedule.then(|| item.result.schedule.clone()),
-                },
-            ),
-            Outcome::Infeasible => Response::error(
-                id,
-                Some(verb::SOLVE),
-                kind::INFEASIBLE,
-                "instance is infeasible".into(),
-            ),
-            Outcome::TimedOut => deadline_response(id, verb::SOLVE, timeout),
-            Outcome::Failed(msg) => Response::error(id, Some(verb::SOLVE), kind::FAILED, msg),
-        }
+        let infeasible = "instance is infeasible";
+        outcome_response(
+            id,
+            verb::SOLVE,
+            outcome,
+            elapsed_ms,
+            include_schedule,
+            timeout,
+            infeasible,
+        )
     } else {
         let mut solve = Solve::new(&inst).method(method).options(opts);
         if let Some(seed) = seed {
@@ -986,21 +955,13 @@ fn execute_batch(
     opts: SolverOptions,
     timeout: Option<Duration>,
 ) -> Response {
-    let result = match timeout {
-        None => shared.shards[shard_idx].engine.solve_batch(&instances, &opts),
-        Some(budget) => {
-            let engine_shared = Arc::clone(shared);
-            let opts = opts.clone();
-            match with_budget(
-                move || engine_shared.shards[shard_idx].engine.solve_batch(&instances, &opts),
-                budget,
-            ) {
-                Ok(result) => result,
-                Err(Interrupt::TimedOut) => return deadline_response(id, verb::BATCH, timeout),
-                Err(Interrupt::Panicked(msg)) => {
-                    return Response::error(id, Some(verb::BATCH), kind::FAILED, msg)
-                }
-            }
+    let result = match within(shared, timeout, move |s| {
+        s.shards[shard_idx].engine.solve_batch(&instances, &opts)
+    }) {
+        Ok(result) => result,
+        Err(Interrupt::TimedOut) => return deadline_response(id, verb::BATCH, timeout),
+        Err(Interrupt::Panicked(msg)) => {
+            return Response::error(id, Some(verb::BATCH), kind::FAILED, msg)
         }
     };
     let items = result
@@ -1035,6 +996,55 @@ fn execute_batch(
     )
 }
 
+/// Run `work` on the shared state, in place without a `timeout` and on
+/// a [`with_budget`] helper thread with one. The work owns its inputs,
+/// so neither branch copies them.
+fn within<T, F>(shared: &Arc<Shared>, timeout: Option<Duration>, work: F) -> Result<T, Interrupt>
+where
+    T: Send + 'static,
+    F: FnOnce(&Shared) -> T + Send + 'static,
+{
+    match timeout {
+        None => Ok(work(shared)),
+        Some(budget) => {
+            let shared = Arc::clone(shared);
+            with_budget(move || work(&shared), budget)
+        }
+    }
+}
+
+/// Shape an engine [`Outcome`] into the reply frame of a nested-solve
+/// verb (`solve`, `open`, `amend`); `infeasible` is the message an
+/// infeasible outcome reports.
+fn outcome_response(
+    id: Option<u64>,
+    verb_name: &'static str,
+    outcome: Outcome,
+    elapsed_ms: f64,
+    include_schedule: bool,
+    timeout: Option<Duration>,
+    infeasible: &str,
+) -> Response {
+    match outcome {
+        Outcome::Solved(item) => Response {
+            solve: Some(SolveReply {
+                active_slots: item.result.schedule.active_time() as u64,
+                method: "nested".into(),
+                certified_ratio: Some(item.result.stats.opened_over_lp),
+                cached: item.cached,
+                elapsed_ms,
+                schedule: include_schedule.then(|| item.result.schedule.clone()),
+            }),
+            ..Response::ok(id, verb_name)
+        },
+        Outcome::Infeasible => {
+            Response::error(id, Some(verb_name), kind::INFEASIBLE, infeasible.into())
+        }
+        Outcome::TimedOut => deadline_response(id, verb_name, timeout),
+        Outcome::Failed(msg) => Response::error(id, Some(verb_name), kind::FAILED, msg),
+    }
+}
+
 /// Shape a session solve outcome into the reply frame. Used by both
 /// `open` and `amend`; errors still echo the session id so the client
 /// knows the session survives (it does — an infeasible amendment keeps
@@ -1048,28 +1058,10 @@ fn session_outcome_response(
     include_schedule: bool,
     timeout: Option<Duration>,
 ) -> Response {
-    let resp = match outcome {
-        Outcome::Solved(item) => Response {
-            solve: Some(SolveReply {
-                active_slots: item.result.schedule.active_time() as u64,
-                method: "nested".into(),
-                certified_ratio: Some(item.result.stats.opened_over_lp),
-                cached: item.cached,
-                elapsed_ms,
-                schedule: include_schedule.then(|| item.result.schedule.clone()),
-            }),
-            ..Response::ok(id, verb_name)
-        },
-        Outcome::Infeasible => Response::error(
-            id,
-            Some(verb_name),
-            kind::INFEASIBLE,
-            "instance is infeasible (the session stays open and amendable)".into(),
-        ),
-        Outcome::TimedOut => deadline_response(id, verb_name, timeout),
-        Outcome::Failed(msg) => Response::error(id, Some(verb_name), kind::FAILED, msg),
-    };
-    resp.with_version(PROTOCOL_VERSION).with_session(session)
+    let infeasible = "instance is infeasible (the session stays open and amendable)";
+    outcome_response(id, verb_name, outcome, elapsed_ms, include_schedule, timeout, infeasible)
+        .with_version(PROTOCOL_VERSION)
+        .with_session(session)
 }
 
 /// Hand-off of an engine session opened under a budget, between the
@@ -1094,42 +1086,29 @@ fn execute_open(
 ) -> Response {
     sweep_sessions(shared);
     let start = Instant::now();
-    let opened = match timeout {
-        None => {
-            let session = shared.shards[shard_idx].engine.open_session(inst, &opts);
-            Ok((session.id(), session.outcome()))
+    // A budget thread runs on after a timeout and still opens its engine
+    // session. Whichever of it and this caller takes the claim second
+    // closes that orphan, so exactly one does.
+    let claim = Arc::new(Mutex::new(OpenClaim::Pending));
+    let worker_claim = Arc::clone(&claim);
+    let opened = within(shared, timeout, move |s| {
+        let engine = &s.shards[shard_idx].engine;
+        let session = engine.open_session(inst, &opts);
+        let mut claim = worker_claim.lock().expect("open claim lock");
+        if matches!(*claim, OpenClaim::Abandoned) {
+            engine.close_session(session.id());
+        } else {
+            *claim = OpenClaim::Opened(session.id());
         }
-        Some(budget) => {
-            // The budget thread runs on after a timeout and still opens
-            // its engine session. Whichever of it and this caller takes
-            // the claim second closes that orphan, so exactly one does.
-            let claim = Arc::new(Mutex::new(OpenClaim::Pending));
-            let worker_claim = Arc::clone(&claim);
-            let engine_shared = Arc::clone(shared);
-            let opened = with_budget(
-                move || {
-                    let engine = &engine_shared.shards[shard_idx].engine;
-                    let session = engine.open_session(inst, &opts);
-                    let mut claim = worker_claim.lock().expect("open claim lock");
-                    if matches!(*claim, OpenClaim::Abandoned) {
-                        engine.close_session(session.id());
-                    } else {
-                        *claim = OpenClaim::Opened(session.id());
-                    }
-                    (session.id(), session.outcome())
-                },
-                budget,
-            );
-            if opened.is_err() {
-                let mut claim = claim.lock().expect("open claim lock");
-                if let OpenClaim::Opened(orphan) = *claim {
-                    shared.shards[shard_idx].engine.close_session(orphan);
-                }
-                *claim = OpenClaim::Abandoned;
-            }
-            opened
+        (session.id(), session.outcome())
+    });
+    if opened.is_err() {
+        let mut claim = claim.lock().expect("open claim lock");
+        if let OpenClaim::Opened(orphan) = *claim {
+            shared.shards[shard_idx].engine.close_session(orphan);
         }
-    };
+        *claim = OpenClaim::Abandoned;
+    }
     let elapsed_ms = start.elapsed().as_secs_f64() * 1e3;
     match opened {
         Ok((engine_id, outcome)) => {
@@ -1194,23 +1173,9 @@ fn execute_amend(
     // `None` inside the budget result means the session vanished
     // between the table check and the engine lookup (a concurrent
     // `close` won the race) — that is "unknown session", not an error.
-    let amended = match timeout {
-        None => {
-            Ok(shared.shards[shard].engine.session(engine_id).map(|s| s.amend(&delta.to_delta())))
-        }
-        Some(budget) => {
-            let engine_shared = Arc::clone(shared);
-            with_budget(
-                move || {
-                    engine_shared.shards[shard]
-                        .engine
-                        .session(engine_id)
-                        .map(|s| s.amend(&delta.to_delta()))
-                },
-                budget,
-            )
-        }
-    };
+    let amended = within(shared, timeout, move |s| {
+        s.shards[shard].engine.session(engine_id).map(|session| session.amend(&delta.to_delta()))
+    });
     let elapsed_ms = start.elapsed().as_secs_f64() * 1e3;
     match amended {
         Ok(None) => unknown(),

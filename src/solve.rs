@@ -53,13 +53,24 @@ pub enum Method {
 
 impl Method {
     /// Short stable label (`auto` / `nested` / `general` / `greedy`),
-    /// the inverse of [`Method::from_str`].
+    /// the inverse of [`Method::from_str`](std::str::FromStr::from_str).
     pub fn label(&self) -> &'static str {
         match self {
             Method::Auto => "auto",
             Method::Nested => "nested",
             Method::General => "general",
             Method::Greedy => "greedy",
+        }
+    }
+
+    /// The path this method takes on `inst`: [`Method::Auto`] resolves
+    /// to nested when the windows are laminar and general otherwise;
+    /// every other method is already concrete.
+    pub fn resolve(self, inst: &Instance) -> Method {
+        match self {
+            Method::Auto if inst.check_laminar().is_ok() => Method::Nested,
+            Method::Auto => Method::General,
+            other => other,
         }
     }
 }
@@ -252,18 +263,8 @@ fn run_inner(
     opts: &SolverOptions,
     seed: u64,
 ) -> Result<SolveOutcome, Error> {
-    let method = match method {
-        Method::Auto => {
-            if inst.check_laminar().is_ok() {
-                Method::Nested
-            } else {
-                Method::General
-            }
-        }
-        other => other,
-    };
-    let path = match method {
-        Method::Auto => unreachable!("auto resolved above"),
+    let path = match method.resolve(inst) {
+        Method::Auto => unreachable!("resolve never returns auto"),
         Method::Nested => SolvePath::Nested(Box::new(solve_nested_sharded(inst, opts)?)),
         Method::General => {
             SolvePath::General(Box::new(solve_general_seeded(inst, seed).ok_or(Error::Infeasible)?))

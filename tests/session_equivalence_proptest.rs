@@ -10,7 +10,8 @@
 //! The cold reference engine runs with its cache *off*, so nothing the
 //! session reuses (spliced shards, cached parts) can leak into the
 //! baseline. Sessions must match it under either exact LP strategy too:
-//! the property draws `lp` from {certified, exact}.
+//! the property draws `lp` from {certified, exact}, and runs the session
+//! engine with or without a (generous) budget.
 
 use nested_active_time::core::certify::check_lemma_4_1;
 use nested_active_time::core::delta::{apply, JobDelta};
@@ -18,6 +19,7 @@ use nested_active_time::core::instance::{Instance, Job};
 use nested_active_time::core::solver::{LpStrategy, ShardMode, SolverOptions};
 use nested_active_time::engine::{Engine, EngineConfig, Outcome};
 use proptest::prelude::*;
+use std::time::Duration;
 
 /// Each root block occupies `[16b, 16b + 8)`; dyadic windows inside a
 /// block keep the instance laminar by construction.
@@ -150,6 +152,7 @@ proptest! {
         deltas in proptest::collection::vec(proptest::collection::vec(op(4), 1..4), 1..4),
         shard_force in any::<bool>(),
         exact_lp in any::<bool>(),
+        budget in any::<bool>(),
     ) {
         // Deterministically place the base jobs using the dyadic grid.
         let jobs: Vec<Job> = base_jobs
@@ -173,7 +176,11 @@ proptest! {
             ..SolverOptions::exact()
         };
 
-        let engine = Engine::new(EngineConfig::default());
+        let mut cfg = EngineConfig::default();
+        if budget {
+            cfg = cfg.timeout(Duration::from_secs(60));
+        }
+        let engine = Engine::new(cfg);
         let cold = Engine::new(EngineConfig::default().cache(false));
 
         let session = engine.open_session(base.clone(), &opts);
