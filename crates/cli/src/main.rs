@@ -23,6 +23,7 @@ mod client_cmd;
 mod serve_cmd;
 mod top_cmd;
 
+use atsched_obs as obs;
 use nested_active_time::baselines::exact::{nested_opt, nested_opt_parallel};
 use nested_active_time::baselines::greedy::ScanOrder;
 use nested_active_time::baselines::incremental::minimal_feasible_fast;
@@ -38,6 +39,7 @@ use nested_active_time::workloads::generators::{
 use nested_active_time::workloads::io;
 use std::path::Path;
 use std::process::ExitCode;
+use std::sync::Arc;
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -173,9 +175,6 @@ fn solver_options(args: &[String]) -> Result<SolverOptions, String> {
 }
 
 fn cmd_solve(args: &[String]) -> Result<(), String> {
-    use atsched_obs as obs;
-    use std::sync::Arc;
-
     let path = args.first().ok_or("solve needs an instance file")?;
     let inst = load(path)?;
     let mut opts = solver_options(args)?;
@@ -272,7 +271,10 @@ fn cmd_batch(args: &[String]) -> Result<(), String> {
 
     let trace = flag_value(args, "--trace-out")
         .map(|path| (path.to_string(), std::sync::Arc::new(atsched_obs::TraceBuffer::new())));
-    let mut engine = Engine::new(cfg);
+    // Every engine this command runs records into one registry, so
+    // `--check` reads the solver's repair guard across all of them.
+    let registry = Arc::new(obs::Registry::new());
+    let mut engine = Engine::with_registry(cfg, Arc::clone(&registry));
     if let Some((_, buffer)) = &trace {
         engine = engine.with_trace(std::sync::Arc::clone(buffer));
     }
@@ -284,7 +286,10 @@ fn cmd_batch(args: &[String]) -> Result<(), String> {
 
     if has_flag(args, "--check") {
         let n = instances.len();
-        let pool = |workers| Engine::new(EngineConfig::default().workers(workers).cache(false));
+        let pool = |workers| {
+            let cfg = EngineConfig::default().workers(workers).cache(false);
+            Engine::with_registry(cfg, Arc::clone(&registry))
+        };
         let sequential = pool(1).solve_batch(&instances, &opts);
         compare_outcomes(
             "parallel",
@@ -307,8 +312,11 @@ fn cmd_batch(args: &[String]) -> Result<(), String> {
         })?;
         eprintln!("check: shard=force objectives identical to shard=off on {n} instances");
 
-        check_certified_matches_exact(&instances, &opts)?;
+        check_certified_matches_exact(&instances, &opts, &registry)?;
         eprintln!("check: lp=certified schedules bit-identical to lp=exact on {n} instances");
+
+        check_no_certified_repairs(&registry)?;
+        eprintln!("check: no certified answer needed repair on {n} instances");
     }
 
     let json = batch.report.to_json_pretty();
@@ -344,14 +352,15 @@ fn cmd_batch(args: &[String]) -> Result<(), String> {
 }
 
 /// Solve `instances` under `lp=certified` and under the `lp=exact`
-/// reference (the rest of `opts` unchanged): every schedule and every
-/// open-count vector must be bit-identical.
+/// reference (the rest of `opts` unchanged), recording into `registry`:
+/// every schedule and every open-count vector must be bit-identical.
 fn check_certified_matches_exact(
     instances: &[Instance],
     opts: &SolverOptions,
+    registry: &Arc<obs::Registry>,
 ) -> Result<(), String> {
     let solve = |lp| {
-        Engine::new(EngineConfig::default().cache(false))
+        Engine::with_registry(EngineConfig::default().cache(false), Arc::clone(registry))
             .solve_batch(instances, &SolverOptions { lp, ..opts.clone() })
     };
     let certified = solve(LpStrategy::Certified);
@@ -359,6 +368,19 @@ fn check_certified_matches_exact(
     compare_outcomes("lp=certified", &certified.outcomes, "lp=exact", &exact.outcomes, |a, b| {
         a.schedule == b.schedule && a.z == b.z
     })
+}
+
+/// Fail when the solver's repair guard fired: a tree or hybrid answer
+/// that needed repair slots was re-solved under `lp=exact`. Its schedule
+/// then matches the reference, so only the counter shows it.
+fn check_no_certified_repairs(registry: &obs::Registry) -> Result<(), String> {
+    match registry.snapshot().counter("solver.certified_repair_fallbacks").unwrap_or(0) {
+        0 => Ok(()),
+        n => Err(format!(
+            "{n} certified answers needed repair and were re-solved exactly \
+             (solver.certified_repair_fallbacks)"
+        )),
+    }
 }
 
 /// Walk two runs over the same corpus and fail on the first instance
@@ -478,11 +500,9 @@ mod tests {
         let rigid = Instance::new(2, vec![Job::new(0, 2, 1); 3]).unwrap();
         let infeasible = Instance::new(1, vec![Job::new(0, 2, 1); 3]).unwrap();
         let opts = SolverOptions::exact();
-        check_certified_matches_exact(
-            &[declines.clone(), rigid.clone(), infeasible.clone()],
-            &opts,
-        )
-        .unwrap();
+        let registry = Arc::new(obs::Registry::new());
+        let corpus = [declines.clone(), rigid.clone(), infeasible.clone()];
+        check_certified_matches_exact(&corpus, &opts, &registry).unwrap();
 
         // Line up different instances at one corpus position: the
         // comparison names the first one whose outcomes diverge.
@@ -499,5 +519,13 @@ mod tests {
             err,
             "instance 0: lp=certified outcome solved diverges from lp=exact infeasible"
         );
+    }
+
+    #[test]
+    fn repair_check_names_the_count() {
+        let registry = obs::Registry::new();
+        assert_eq!(check_no_certified_repairs(&registry), Ok(()));
+        registry.counter("solver.certified_repair_fallbacks").add(2);
+        assert!(check_no_certified_repairs(&registry).unwrap_err().starts_with("2 certified"));
     }
 }

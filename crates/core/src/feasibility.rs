@@ -15,31 +15,41 @@
 
 use crate::instance::Instance;
 use crate::tree::Forest;
-use atsched_flow::FlowNetwork;
+use atsched_flow::{EdgeRef, FlowNetwork};
 
-/// Maximum total job volume schedulable when exactly the given slots are
-/// open. Slots must be sorted and distinct.
-pub fn max_schedulable_volume(inst: &Instance, slots: &[i64]) -> i64 {
+/// Source and sink of the concrete-slot network.
+const SOURCE: usize = 0;
+const SINK: usize = 1;
+
+/// The concrete-slot network `source → job (cap p_j) → slot (cap 1) →
+/// sink (cap g)`, and every job → slot edge as `(job, slot index, edge)`.
+/// Slots must be sorted and distinct.
+fn slot_network(inst: &Instance, slots: &[i64]) -> (FlowNetwork, Vec<(usize, usize, EdgeRef)>) {
     debug_assert!(slots.windows(2).all(|w| w[0] < w[1]), "slots must be sorted+distinct");
     let n = inst.num_jobs();
-    let s = 0usize;
-    let t = 1usize;
     let job_base = 2usize;
     let slot_base = 2 + n;
     let mut net = FlowNetwork::new(2 + n + slots.len());
+    let mut job_slot_edges = Vec::new();
     for (j, job) in inst.jobs.iter().enumerate() {
-        net.add_edge(s, job_base + j, job.processing);
+        net.add_edge(SOURCE, job_base + j, job.processing);
         // Window slots: binary-search the open-slot range.
         let lo = slots.partition_point(|&x| x < job.release);
         let hi = slots.partition_point(|&x| x < job.deadline);
         for k in lo..hi {
-            net.add_edge(job_base + j, slot_base + k, 1);
+            job_slot_edges.push((j, k, net.add_edge(job_base + j, slot_base + k, 1)));
         }
     }
     for k in 0..slots.len() {
-        net.add_edge(slot_base + k, t, inst.g);
+        net.add_edge(slot_base + k, SINK, inst.g);
     }
-    net.max_flow(s, t)
+    (net, job_slot_edges)
+}
+
+/// Maximum total job volume schedulable when exactly the given slots are
+/// open. Slots must be sorted and distinct.
+pub fn max_schedulable_volume(inst: &Instance, slots: &[i64]) -> i64 {
+    slot_network(inst, slots).0.max_flow(SOURCE, SINK)
 }
 
 /// Can all jobs be fully scheduled with exactly the given open slots?
@@ -51,27 +61,8 @@ pub fn slots_feasible(inst: &Instance, slots: &[i64]) -> bool {
 ///
 /// Returns `None` when the slot set cannot schedule all jobs.
 pub fn extract_assignment(inst: &Instance, slots: &[i64]) -> Option<Vec<Vec<usize>>> {
-    debug_assert!(slots.windows(2).all(|w| w[0] < w[1]));
-    let n = inst.num_jobs();
-    let s = 0usize;
-    let t = 1usize;
-    let job_base = 2usize;
-    let slot_base = 2 + n;
-    let mut net = FlowNetwork::new(2 + n + slots.len());
-    let mut job_slot_edges: Vec<(usize, usize, atsched_flow::EdgeRef)> = Vec::new();
-    for (j, job) in inst.jobs.iter().enumerate() {
-        net.add_edge(s, job_base + j, job.processing);
-        let lo = slots.partition_point(|&x| x < job.release);
-        let hi = slots.partition_point(|&x| x < job.deadline);
-        for k in lo..hi {
-            let e = net.add_edge(job_base + j, slot_base + k, 1);
-            job_slot_edges.push((j, k, e));
-        }
-    }
-    for k in 0..slots.len() {
-        net.add_edge(slot_base + k, t, inst.g);
-    }
-    if net.max_flow(s, t) != inst.total_volume() {
+    let (mut net, job_slot_edges) = slot_network(inst, slots);
+    if net.max_flow(SOURCE, SINK) != inst.total_volume() {
         return None;
     }
     let mut assignment = vec![Vec::new(); slots.len()];
@@ -81,50 +72,6 @@ pub fn extract_assignment(inst: &Instance, slots: &[i64]) -> Option<Vec<Vec<usiz
         }
     }
     Some(assignment)
-}
-
-/// Like [`extract_assignment`], but *load-balanced*: among assignments on
-/// the given open slots, minimize the maximum per-slot load (binary
-/// search on a uniform cap, one flow check per step). Returns the
-/// assignment and the optimal peak load.
-///
-/// Motivation: the active-time objective only counts on-slots, but a
-/// datacenter operator also cares about the peak draw within an on-slot;
-/// this picks the flattest schedule among the optimal ones.
-pub fn extract_assignment_balanced(
-    inst: &Instance,
-    slots: &[i64],
-) -> Option<(Vec<Vec<usize>>, i64)> {
-    if !slots_feasible(inst, slots) {
-        return None;
-    }
-    if slots.is_empty() {
-        return Some((Vec::new(), 0));
-    }
-    let volume = inst.total_volume();
-    let mut lo = (volume + slots.len() as i64 - 1) / slots.len() as i64; // ⌈V/S⌉
-    let mut hi = inst.g;
-    lo = lo.clamp(0, hi);
-    let feasible_with_cap = |cap: i64| -> Option<Vec<Vec<usize>>> {
-        let capped = Instance::new(cap.max(1), inst.jobs.clone()).ok()?;
-        extract_assignment(&capped, slots)
-    };
-    // Invariant: hi is feasible (checked above with cap = g).
-    let mut best = None;
-    while lo < hi {
-        let mid = lo + (hi - lo) / 2;
-        match feasible_with_cap(mid) {
-            Some(a) => {
-                best = Some((a, mid));
-                hi = mid;
-            }
-            None => lo = mid + 1,
-        }
-    }
-    match best {
-        Some((a, peak)) if peak == lo => Some((a, peak)),
-        _ => feasible_with_cap(lo).map(|a| (a, lo)),
-    }
 }
 
 /// Feasibility of per-node open counts `z` (one entry per forest node)
@@ -236,46 +183,6 @@ mod tests {
         }
         assert_eq!(per_job, vec![2, 1, 1]);
         assert!(extract_assignment(&i, &[1]).is_none());
-    }
-
-    #[test]
-    fn balanced_extraction_minimizes_peak() {
-        // 4 unit jobs, 2 slots, g = 4: plain extraction may pile 4 into
-        // one slot; balanced must split 2/2.
-        let i = inst(4, vec![(0, 2, 1); 4]);
-        let (a, peak) = extract_assignment_balanced(&i, &[0, 1]).unwrap();
-        assert_eq!(peak, 2);
-        assert!(a.iter().all(|slot| slot.len() <= 2));
-        // Validity.
-        let s = crate::schedule::Schedule::new(vec![0, 1], a);
-        s.verify(&i).unwrap();
-    }
-
-    #[test]
-    fn balanced_extraction_peak_lower_bounded_by_volume() {
-        // 5 units over 2 slots: peak ≥ ⌈5/2⌉ = 3.
-        let i = inst(5, vec![(0, 2, 1); 5]);
-        let (_, peak) = extract_assignment_balanced(&i, &[0, 1]).unwrap();
-        assert_eq!(peak, 3);
-    }
-
-    #[test]
-    fn balanced_extraction_respects_windows() {
-        // One slot serves a tight window alone: peak can't flatten below
-        // the forced co-location.
-        let i = inst(3, vec![(0, 1, 1), (0, 1, 1), (0, 4, 1), (0, 4, 1)]);
-        let (a, peak) = extract_assignment_balanced(&i, &[0, 2]).unwrap();
-        assert_eq!(peak, 2);
-        let s = crate::schedule::Schedule::new(vec![0, 2], a);
-        s.verify(&i).unwrap();
-    }
-
-    #[test]
-    fn balanced_extraction_infeasible_none() {
-        let i = inst(1, vec![(0, 2, 1); 3]);
-        assert!(extract_assignment_balanced(&i, &[0, 1]).is_none());
-        let empty = inst(1, vec![]);
-        assert_eq!(extract_assignment_balanced(&empty, &[]), Some((Vec::new(), 0)));
     }
 
     #[test]

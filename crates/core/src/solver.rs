@@ -14,7 +14,10 @@
 //! principle flip a comparison at a boundary, the final schedule is
 //! *always* re-verified, and a repair pass (counted in
 //! [`SolveStats::repair_opened`], normally zero) can open additional
-//! slots if extraction ever falls short.
+//! slots if extraction ever falls short. An exact optimum never needs
+//! repair, so a tree or hybrid answer that does is re-solved under
+//! [`LpStrategy::Exact`] and counted as
+//! `solver.certified_repair_fallbacks`.
 
 use crate::canonical::canonicalize;
 use crate::feasibility::{counts_to_slots, extract_assignment};
@@ -272,7 +275,8 @@ pub struct SolveStats {
     pub opened_slots: i64,
     /// Active slots in the final schedule (≤ `opened_slots`).
     pub active_slots: usize,
-    /// Slots a repair pass had to add beyond `x̃` (0 on the exact path).
+    /// Slots a repair pass had to add beyond `x̃` (0 on the exact path;
+    /// a certified answer that needed any is re-solved exactly).
     pub repair_opened: i64,
     /// Slots removed by the polish pass (0 unless
     /// [`SolverOptions::polish`]).
@@ -367,31 +371,24 @@ pub fn solve_nested(inst: &Instance, opts: &SolverOptions) -> Result<SolveResult
     drop(span);
 
     let lp = solve_lp(inst, &canon, &bounds, opts, opts.lp, &mut timings)?;
-    let result = finish_pipeline(inst, canon, nodes_original, opts, lp, timings);
-    // On small instances a hybrid answer's rounded integral certificate
-    // is cross-checked against the paper's Lemma 4.1 characterization;
-    // a violation (never observed — it would indicate a rounding-stage
-    // bug, since the schedule already re-verified by max-flow) re-runs
-    // the pipeline on the exact simplex.
-    if result.stats.lp_answer == LpAnswer::Hybrid
-        && inst.num_jobs() <= LEMMA41_JOB_LIMIT
-        && crate::certify::check_lemma_4_1(&result.forest, inst, &result.z, LEMMA41_JOB_LIMIT)
-            .is_err()
-    {
-        obs::counter_add("solver.hybrid_lemma41_fallbacks", 1);
-        let canon = result.forest;
+    let mut result = finish_pipeline(inst, canon, nodes_original, opts, lp, timings);
+    if falls_back_to_exact(&result.stats) {
+        obs::counter_add("solver.certified_repair_fallbacks", 1);
         timings = StageTimings { canonicalize: timings.canonicalize, ..StageTimings::default() };
-        let lp = solve_lp(inst, &canon, &bounds, opts, LpStrategy::Exact, &mut timings)?;
-        return Ok(finish_pipeline(inst, canon, nodes_original, opts, lp, timings));
+        let lp = solve_lp(inst, &result.forest, &bounds, opts, LpStrategy::Exact, &mut timings)?;
+        result = finish_pipeline(inst, result.forest, nodes_original, opts, lp, timings);
     }
     Ok(result)
 }
 
-/// Job-count gate for the Lemma 4.1 deficiency cross-check of hybrid
-/// answers. The check enumerates `2^n` job subsets, so it is only
-/// affordable (and only run) on small instances; 12 keeps it well under
-/// a millisecond and off the critical path of larger solves.
-const LEMMA41_JOB_LIMIT: usize = 12;
+/// Whether a certified answer must be re-solved under
+/// [`LpStrategy::Exact`]: it needed repair slots, which an exact LP
+/// optimum never does (Theorem 4.5; Lemma 4.1 makes max-flow extraction
+/// of the rounded counts an exact feasibility test). Float answers
+/// repair by design, and exact ones have nothing to fall back to.
+fn falls_back_to_exact(stats: &SolveStats) -> bool {
+    stats.repair_opened > 0 && matches!(stats.lp_answer, LpAnswer::Tree | LpAnswer::Hybrid)
+}
 
 /// An LP optimum in the arithmetic it was solved in, tagged with the
 /// attempt that produced it.
@@ -776,6 +773,22 @@ mod tests {
         assert!(r.stats.active_slots as i64 <= r.stats.opened_slots);
         assert!(r.stats.lp_objective > 0.0);
         assert!(r.stats.lp_objective_exact.is_some());
+    }
+
+    #[test]
+    fn only_repaired_certified_answers_fall_back_to_exact() {
+        let stats = |lp_answer, repair_opened| SolveStats {
+            lp_answer,
+            repair_opened,
+            ..solve_nested(&inst(3, vec![]), &SolverOptions::exact()).unwrap().stats
+        };
+        for answer in [LpAnswer::Tree, LpAnswer::Hybrid, LpAnswer::Exact, LpAnswer::Float] {
+            assert!(!falls_back_to_exact(&stats(answer, 0)), "{answer:?} without repair");
+        }
+        assert!(falls_back_to_exact(&stats(LpAnswer::Tree, 1)));
+        assert!(falls_back_to_exact(&stats(LpAnswer::Hybrid, 2)));
+        assert!(!falls_back_to_exact(&stats(LpAnswer::Exact, 1)));
+        assert!(!falls_back_to_exact(&stats(LpAnswer::Float, 1)));
     }
 
     #[test]

@@ -88,10 +88,14 @@ impl EngineConfig {
 }
 
 /// A successfully solved batch item.
+///
+/// Cloning is cheap: the result is shared, not copied.
 #[derive(Debug, Clone)]
 pub struct SolvedItem {
-    /// The verified solver output.
-    pub result: SolveResult,
+    /// The verified solver output, shared with the engine cache (when
+    /// the solve was cached or was a hit) and with the session that
+    /// produced it, so handing it out is a pointer copy.
+    pub result: Arc<SolveResult>,
     /// Wall-clock spent on this item (≈0 for cache hits).
     pub elapsed: Duration,
     /// Whether the result came from the cache.
@@ -99,10 +103,12 @@ pub struct SolvedItem {
 }
 
 /// Per-instance result of a batch solve.
+///
+/// Cloning is cheap: a [`SolvedItem`] shares its result.
 #[derive(Debug, Clone)]
 pub enum Outcome {
-    /// A verified schedule (boxed: the payload is large).
-    Solved(Box<SolvedItem>),
+    /// A verified schedule.
+    Solved(SolvedItem),
     /// The instance is provably infeasible.
     Infeasible,
     /// The per-solve wall-clock budget ran out.
@@ -359,16 +365,13 @@ impl Engine {
         let (outcome, hits) = match run {
             Ok((combined, parts, hits)) => {
                 // Only successful parts are kept, even when a sibling
-                // failed: content keys stay valid regardless. Consuming
-                // `parts` also drops the last other owner of an
-                // undecomposed result before it is unwrapped.
-                let next: Parts = units
-                    .into_iter()
-                    .zip(parts)
-                    .filter_map(|(unit, part)| Some((unit, part.ok()?)))
-                    .collect();
+                // failed: content keys stay valid regardless.
                 if let Some(table) = table {
-                    *table = next;
+                    *table = units
+                        .into_iter()
+                        .zip(parts)
+                        .filter_map(|(unit, part)| Some((unit, part.ok()?)))
+                        .collect();
                 }
                 if let Some(key) = memo {
                     self.cache.insert(key, combined.clone());
@@ -443,13 +446,12 @@ pub(crate) struct Reuse {
     pub(crate) solved: u64,
 }
 
-/// Map a deterministic solve outcome to an [`Outcome`].
+/// Map a deterministic solve outcome to an [`Outcome`]. A solved result
+/// is handed out as the `Arc` the cache or the fan-out holds, not
+/// copied.
 fn settle(res: Part, elapsed: Duration, cached: bool) -> Outcome {
     match res {
-        Ok(result) => {
-            let result = Arc::unwrap_or_clone(result);
-            Outcome::Solved(Box::new(SolvedItem { result, elapsed, cached }))
-        }
+        Ok(result) => Outcome::Solved(SolvedItem { result, elapsed, cached }),
         Err(SolveError::Infeasible) => Outcome::Infeasible,
         Err(other) => Outcome::Failed(other.to_string()),
     }
@@ -507,9 +509,11 @@ mod tests {
                 Err(e) => panic!("unexpected sequential error on {i}: {e}"),
             }
         }
-        // The repeat must be served from cache.
-        assert!(batch.outcomes[4].as_solved().unwrap().cached);
-        assert!(!batch.outcomes[0].as_solved().unwrap().cached);
+        // The repeat must be served from cache, sharing its result.
+        let first = batch.outcomes[0].as_solved().unwrap();
+        let repeat = batch.outcomes[4].as_solved().unwrap();
+        assert!(repeat.cached && !first.cached);
+        assert!(Arc::ptr_eq(&first.result, &repeat.result));
     }
 
     #[test]
@@ -767,6 +771,7 @@ mod tests {
         // an immediate re-solve is a cache hit, not a re-shard.
         let again = engine.solve_one(&many_root, &opts);
         assert!(again.as_solved().unwrap().cached);
+        assert!(Arc::ptr_eq(&item.result, &again.as_solved().unwrap().result));
         assert_eq!(engine.registry().snapshot().counter("engine.shards"), Some(8));
 
         // shard=off on a fresh engine produces the same objectives.

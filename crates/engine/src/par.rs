@@ -33,9 +33,9 @@ where
 
 /// [`par_map`] with an explicit worker count (`0` means one per core).
 ///
-/// A worker panic propagates once the pool has drained: the survivors
-/// finish the queue, and when every worker has died the feeder stops
-/// instead of blocking on the full queue.
+/// A worker panic propagates, payload intact, once the pool has
+/// drained: the survivors finish the queue, and when every worker has
+/// died the feeder stops instead of blocking on the full queue.
 pub fn par_map_workers<T, R, F>(items: Vec<T>, workers: usize, f: F) -> Vec<R>
 where
     T: Send,
@@ -57,19 +57,20 @@ where
     let (tx, rx) = channel::bounded::<(usize, T)>(2 * workers);
     let (out_tx, out_rx) = channel::unbounded::<(usize, R)>();
 
-    thread::scope(|scope| {
+    let panicked = thread::scope(|scope| {
+        let mut handles = Vec::with_capacity(workers);
         for _ in 0..workers {
             let rx = rx.clone();
             let out_tx = out_tx.clone();
             let f = &f;
-            scope.spawn(move || {
+            handles.push(scope.spawn(move || {
                 while let Ok((i, item)) = rx.recv() {
                     out_tx.send((i, f(item))).expect("collector open");
                 }
-            });
+            }));
         }
         // Only the workers hold receivers, so a send fails once all of
-        // them have died; the scope then re-raises their panic.
+        // them have died.
         drop(rx);
         drop(out_tx);
         for (i, item) in items.into_iter().enumerate() {
@@ -78,7 +79,13 @@ where
             }
         }
         drop(tx);
+        // Join every worker: a panic left unjoined makes the scope raise
+        // a generic one in place of the worker's own.
+        handles.into_iter().fold(None, |first, handle| first.or(handle.join().err()))
     });
+    if let Some(payload) = panicked {
+        std::panic::resume_unwind(payload);
+    }
 
     let mut results: Vec<Option<R>> = (0..n).map(|_| None).collect();
     while let Ok((i, r)) = out_rx.recv() {
@@ -140,6 +147,13 @@ mod tests {
             .expect("par_map_workers hung after every worker panicked");
         assert!(propagated);
         run.join().expect("the panic was caught");
+    }
+
+    #[test]
+    fn a_worker_panic_keeps_its_message() {
+        let boom = |x| if x == 5 { panic!("unit {x} exploded") } else { x };
+        let res = crate::isolated(|| par_map_workers((0..8).collect::<Vec<i32>>(), 2, boom));
+        assert_eq!(res, Err(crate::Interrupt::Panicked("unit 5 exploded".into())));
     }
 
     #[test]

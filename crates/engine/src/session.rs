@@ -192,7 +192,8 @@ impl Session<'_> {
         self.id
     }
 
-    /// The outcome of the most recent solve (open or amend).
+    /// The outcome of the most recent solve (open or amend). Its result
+    /// is the allocation that solve returned, shared, not copied.
     pub fn outcome(&self) -> Outcome {
         self.state.lock().expect("session lock").outcome.clone()
     }
@@ -506,9 +507,12 @@ mod tests {
             (shape.clone(), Arc::clone(part))
         };
         let (shape, before) = part(&session);
-        session.amend(&JobDelta::new().modify_window(4, 13, 17)).unwrap();
+        let amended = session.amend(&JobDelta::new().modify_window(4, 13, 17)).unwrap();
         let after = Arc::clone(&session.state.lock().unwrap().parts[&shape]);
         assert!(Arc::ptr_eq(&before, &after), "a splice must not copy the part");
+        // The stored outcome shares the amend's result, too.
+        let result = |o: &Outcome| Arc::clone(&o.as_solved().expect("solved").result);
+        assert!(Arc::ptr_eq(&result(&amended), &result(&session.outcome())));
     }
 
     #[test]

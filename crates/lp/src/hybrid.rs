@@ -23,9 +23,11 @@
 //!    (where exact arithmetic could have decided differently); a
 //!    certified non-suspect run made every decision by a clear margin
 //!    and therefore walked the exact solver's own pivot path. Suspect
-//!    runs fall back. Schedule-level identity is additionally enforced
-//!    one layer up (the solver's Lemma 4.1 deficiency check on the
-//!    rounded certificate, plus the corpus-wide `batch --check` gate);
+//!    runs fall back. Schedule-level identity is additionally guarded
+//!    one layer up: the solver re-solves exactly any answer whose
+//!    rounded counts needed repair (`solver.certified_repair_fallbacks`),
+//!    and the corpus-wide `batch --check` gate compares against the
+//!    exact simplex and fails if that guard ever fired;
 //! 5. on any typed failure ([`FallbackReason`]), fall back to the cold
 //!    exact simplex. Fallbacks are counted in the obs registry under
 //!    `lp.hybrid_fallbacks` (with a per-reason breakdown under

@@ -14,11 +14,13 @@ use nested_active_time::core::instance::{Instance, Job};
 use nested_active_time::core::solver::{
     solve_nested, LpAnswer, LpStrategy, SolveError, SolverOptions,
 };
+use nested_active_time::obs;
 use nested_active_time::workloads::families::{shallow_nest, unit_blocks};
 use nested_active_time::workloads::generators::{
     random_laminar, random_multi_root, LaminarConfig, MultiRootConfig,
 };
 use proptest::prelude::*;
+use std::sync::Arc;
 
 const LEVELS: u32 = 3; // horizon 8
 
@@ -43,15 +45,23 @@ fn any_instance() -> impl Strategy<Value = Instance> {
 }
 
 /// Certified and Exact must agree observationally: the same verdict,
-/// and on success a bit-identical exact LP objective plus an identical
-/// slot-for-slot schedule.
+/// and on success a bit-identical exact LP objective, open counts and
+/// schedule, slot for slot and job for job. The certified solve must
+/// also never need the solver's repair guard, which would re-solve it
+/// exactly and hide the divergence from the comparison.
 fn assert_paths_agree(inst: &Instance) -> Result<(), TestCaseError> {
-    let certified = solve_nested(inst, &opts(LpStrategy::Certified));
+    let registry = Arc::new(obs::Registry::new());
+    let certified = obs::with_collector(obs::Collector::new(Arc::clone(&registry)), || {
+        solve_nested(inst, &opts(LpStrategy::Certified))
+    });
+    prop_assert_eq!(registry.snapshot().counter("solver.certified_repair_fallbacks"), None);
     let exact = solve_nested(inst, &opts(LpStrategy::Exact));
     match (&certified, &exact) {
         (Ok(a), Ok(s)) => {
             prop_assert_eq!(&a.stats.lp_objective_exact, &s.stats.lp_objective_exact);
+            prop_assert_eq!(&a.z, &s.z);
             prop_assert_eq!(&a.schedule.slots, &s.schedule.slots);
+            prop_assert_eq!(&a.schedule.assignment, &s.schedule.assignment);
             a.schedule.verify(inst).unwrap();
         }
         (Err(SolveError::Infeasible), Err(SolveError::Infeasible)) => {}
