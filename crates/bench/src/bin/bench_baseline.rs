@@ -22,7 +22,7 @@
 //!     [--tag NAME] [--count N] [--g N] [--horizon N] [--seed N] [--roots N] \
 //!     [--runs N] [--out FILE] [--compare PREV.json] [--in REPORT.json] \
 //!     [--serve] [--serve-only] [--serve-conns N] [--serve-reqs N] \
-//!     [--serve-router N] [--serve-workers N] [--serve-addr HOST:PORT] \
+//!     [--serve-workers N] [--serve-addr HOST:PORT] \
 //!     [--serve-scrape] [--serve-scale-addr HOST:PORT] [--serve-scale-conns N]
 //! ```
 //!
@@ -392,7 +392,6 @@ fn drive_load(
     addr: SocketAddr,
     conns: usize,
     reqs: usize,
-    router: usize,
     in_process: bool,
     label: &str,
 ) -> Result<Value, String> {
@@ -425,7 +424,6 @@ fn drive_load(
     Ok(Value::Map(vec![
         ("conns".into(), Value::UInt(conns as u64)),
         ("requests_per_conn".into(), Value::UInt(reqs as u64)),
-        ("router_workers".into(), Value::UInt(router as u64)),
         ("in_process".into(), Value::Bool(in_process)),
         ("opened".into(), Value::UInt(report.opened as u64)),
         ("peak_open".into(), Value::UInt(report.peak_open as u64)),
@@ -489,7 +487,6 @@ fn serve_section(args: &[String]) -> Result<Value, String> {
 
     let conns: usize = flag(args, "--serve-conns", 256usize)?.max(1);
     let reqs: usize = flag(args, "--serve-reqs", 4usize)?.max(1);
-    let router: usize = flag(args, "--serve-router", 1usize)?;
     let workers: usize = flag(args, "--serve-workers", 2usize)?;
     let scrape = has_flag(args, "--serve-scrape");
     let external = opt_flag(args, "--serve-addr");
@@ -502,8 +499,7 @@ fn serve_section(args: &[String]) -> Result<Value, String> {
             (addr, None, None)
         }
         None => {
-            let mut cfg =
-                ServerConfig::default().addr("127.0.0.1:0").workers(workers).router_workers(router);
+            let mut cfg = ServerConfig::default().addr("127.0.0.1:0").workers(workers);
             if scrape {
                 cfg = cfg.metrics_addr("127.0.0.1:0");
             }
@@ -542,7 +538,7 @@ fn serve_section(args: &[String]) -> Result<Value, String> {
         (stop, join)
     });
 
-    let mut section = drive_load(addr, conns, reqs, router, external.is_none(), "serve")?;
+    let mut section = drive_load(addr, conns, reqs, external.is_none(), "serve")?;
 
     // Stop the scraper (its loop always does one final post-load
     // scrape, so the last sample covers the whole run) and fold its
@@ -605,7 +601,7 @@ fn scale_section(args: &[String]) -> Result<Option<Value>, String> {
         addr.parse().map_err(|_| format!("invalid --serve-scale-addr: {addr}"))?;
     let conns: usize = flag(args, "--serve-scale-conns", 10_000usize)?.max(1);
     let reqs: usize = flag(args, "--serve-scale-reqs", 2usize)?.max(1);
-    drive_load(addr, conns, reqs, 0, false, "serve_scale").map(Some)
+    drive_load(addr, conns, reqs, false, "serve_scale").map(Some)
 }
 
 /// The solve-corpus benchmark: the report entries every non

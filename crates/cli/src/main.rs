@@ -10,7 +10,7 @@
 //! atsched greedy inst.json [--order ltr|rtl|rand]
 //! atsched verify inst.json schedule.json
 //! atsched gaps --family lemma51|gap2 --g 4
-//! atsched serve [--addr HOST:PORT] [--workers N] [--queue N] [--router N] [--timeout-ms N]
+//! atsched serve [--addr HOST:PORT] [--workers N] [--queue N] [--timeout-ms N]
 //!               [--max-sessions N] [--session-ttl-ms N] [--metrics-addr HOST:PORT] [--slow-ms N]
 //! atsched top ADDR [--interval-ms N] [--count N] [--no-clear]
 //! atsched client ADDR solve|batch|open|amend|close|stats|health|shutdown ...
@@ -84,7 +84,7 @@ USAGE:
   atsched greedy INSTANCE.json [--order ltr|rtl|rand]
   atsched verify INSTANCE.json SCHEDULE.json
   atsched gaps --family lemma51|gap2 --g N
-  atsched serve [--addr HOST:PORT] [--workers N] [--queue N] [--router N] [--timeout-ms N]
+  atsched serve [--addr HOST:PORT] [--workers N] [--queue N] [--timeout-ms N]
                 [--max-sessions N] [--session-ttl-ms N] [--delay-ms N]
                 [--metrics-addr HOST:PORT] [--slow-ms N]
   atsched top ADDR [--interval-ms N] [--count N] [--no-clear]

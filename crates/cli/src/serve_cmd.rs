@@ -13,7 +13,6 @@ pub(crate) fn cmd_serve(args: &[String]) -> Result<(), String> {
     let mut cfg = ServerConfig::default()
         .workers(crate::parse_num(args, "--workers", 0usize)?)
         .queue_depth(crate::parse_num(args, "--queue", 0usize)?)
-        .router_workers(crate::parse_num(args, "--router", 0usize)?)
         .delay_ms(crate::parse_num(args, "--delay-ms", 0u64)?);
     if let Some(addr) = crate::flag_value(args, "--addr") {
         cfg = cfg.addr(addr);

@@ -1,7 +1,7 @@
 //! `atsched top` — a polling terminal dashboard over a running server's
-//! `stats` verb: windowed request rates, per-shard queue/session/cache
-//! sections, windowed latency percentiles, and the recent slow-request
-//! log with per-stage timings.
+//! `stats` verb: windowed request rates, queue/session/cache figures,
+//! windowed latency percentiles, and the recent slow-request log with
+//! per-stage timings.
 
 use atsched_serve::{Client, StatsReply};
 use std::io::Write;
@@ -104,48 +104,19 @@ pub(crate) fn render(addr: &str, stats: &StatsReply) -> String {
         ),
     );
 
-    if !stats.shards.is_empty() {
-        push(w, String::new());
-        push(
-            w,
-            format!(
-                "{:>5} {:>11} {:>6} {:>13} {:>8} {:>9} {:>9} {:>9}",
-                "shard", "queue", "sess", "cache h/m", "reqs", "10s/s", "1m/s", "5m/s"
-            ),
-        );
-        for s in &stats.shards {
-            push(
-                w,
-                format!(
-                    "{:>5} {:>11} {:>6} {:>13} {:>8} {:>9.1} {:>9.1} {:>9.1}",
-                    s.shard,
-                    format!("{}/{}", s.queue_len, s.queue_capacity),
-                    s.sessions_open,
-                    format!("{}/{}", s.cache_hits, s.cache_misses),
-                    s.requests,
-                    s.rate_10s,
-                    s.rate_1m,
-                    s.rate_5m
-                ),
-            );
-        }
-    }
-
     if !stats.slow.is_empty() {
         push(w, String::new());
         push(w, "recent slow / errored requests (newest first)".to_string());
         for e in &stats.slow {
-            let shard = e.shard.map(|s| s.to_string()).unwrap_or_else(|| "-".into());
             let status = e.error.as_deref().unwrap_or("ok");
             let stages: Vec<String> =
                 e.stages.iter().map(|s| format!("{} {:.1}ms", s.stage, s.ms)).collect();
             push(
                 w,
                 format!(
-                    "  #{:<6} {:<6} shard {:<3} {:>9.1} ms  {:<10} {}",
+                    "  #{:<6} {:<6} {:>9.1} ms  {:<10} {}",
                     e.request,
                     e.verb,
-                    shard,
                     e.total_ms,
                     status,
                     stages.join(" > ")
@@ -159,28 +130,15 @@ pub(crate) fn render(addr: &str, stats: &StatsReply) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use atsched_serve::{ShardStats, SlowRequest, StageTiming};
+    use atsched_serve::{SlowRequest, StageTiming};
 
     #[test]
-    fn render_includes_shards_rates_and_slow_entries() {
+    fn render_includes_totals_and_slow_entries() {
         let mut stats =
             StatsReply { received: 10, completed: 9, sessions_open: 1, ..Default::default() };
-        stats.shards = vec![ShardStats {
-            shard: 0,
-            queue_len: 1,
-            queue_capacity: 8,
-            sessions_open: 1,
-            cache_hits: 4,
-            cache_misses: 2,
-            requests: 9,
-            rate_10s: 0.9,
-            rate_1m: 0.2,
-            rate_5m: 0.1,
-        }];
         stats.slow = vec![SlowRequest {
             request: 7,
             verb: "amend".into(),
-            shard: Some(0),
             total_ms: 12.5,
             error: None,
             stages: vec![StageTiming { stage: "lp".into(), ms: 9.1 }],
@@ -188,7 +146,7 @@ mod tests {
         let frame = render("127.0.0.1:7411", &stats);
         assert!(frame.contains("atsched top — 127.0.0.1:7411"), "{frame}");
         assert!(frame.contains("recv 10"), "{frame}");
-        assert!(frame.contains("4/2"), "{frame}");
+        assert!(frame.contains("open 1"), "{frame}");
         assert!(frame.contains("#7"), "{frame}");
         assert!(frame.contains("amend"), "{frame}");
         assert!(frame.contains("lp 9.1ms"), "{frame}");

@@ -123,11 +123,15 @@ pub fn merge<P: Borrow<SolveResult>>(
 ) -> SolveResult {
     assert_eq!(parts.len(), dec.shards.len(), "one result per shard");
 
-    let mut slots: Vec<i64> = Vec::new();
-    let mut assignment: Vec<Vec<usize>> = Vec::new();
-    let mut z: Vec<i64> = Vec::new();
-    let mut nodes: Vec<TreeNode> = Vec::new();
-    let mut roots: Vec<usize> = Vec::new();
+    // Exact capacities: a session keeps the merged result for its
+    // lifetime, so growth slack would stay allocated with it.
+    let total = |len: fn(&SolveResult) -> usize| parts.iter().map(|p| len(p.borrow())).sum();
+    let mut slots: Vec<i64> = Vec::with_capacity(total(|p| p.schedule.slots.len()));
+    let mut assignment: Vec<Vec<usize>> =
+        Vec::with_capacity(total(|p| p.schedule.assignment.len()));
+    let mut z: Vec<i64> = Vec::with_capacity(total(|p| p.z.len()));
+    let mut nodes: Vec<TreeNode> = Vec::with_capacity(total(|p| p.forest.nodes.len()));
+    let mut roots: Vec<usize> = Vec::with_capacity(total(|p| p.forest.roots.len()));
     let mut job_node = vec![usize::MAX; inst.num_jobs()];
 
     let mut stats = SolveStats {
@@ -326,6 +330,28 @@ mod tests {
             dec.shards.iter().map(|s| solve_nested(&s.instance, &opts).unwrap()).collect();
         let merged = merge(&i, &dec, &parts);
         crate::certify::check_lemma_4_1(&merged.forest, &i, &merged.z, 16).unwrap();
+    }
+
+    #[test]
+    fn merge_allocates_no_growth_slack() {
+        // Five roots, so pushing part by part into empty vectors would
+        // have left spare capacity behind.
+        let i = inst(
+            2,
+            (0..5).flat_map(|r| [(10 * r, 10 * r + 6, 2), (10 * r + 1, 10 * r + 4, 1)]).collect(),
+        );
+        let opts = SolverOptions::exact();
+        let dec = decompose(&i).unwrap();
+        let parts: Vec<SolveResult> =
+            dec.shards.iter().map(|s| solve_nested(&s.instance, &opts).unwrap()).collect();
+        let merged = merge(&i, &dec, &parts);
+        let slots = &merged.schedule.slots;
+        let assignment = &merged.schedule.assignment;
+        assert_eq!(slots.capacity(), slots.len());
+        assert_eq!(assignment.capacity(), assignment.len());
+        assert_eq!(merged.z.capacity(), merged.z.len());
+        assert_eq!(merged.forest.nodes.capacity(), merged.forest.nodes.len());
+        assert_eq!(merged.forest.roots.capacity(), merged.forest.roots.len());
     }
 
     #[test]

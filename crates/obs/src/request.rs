@@ -3,20 +3,19 @@
 //! requests.
 //!
 //! A [`RequestTrace`] is created by whoever admits a request (the serve
-//! router), attached to the worker's [`crate::Collector`], and filled
+//! reactor), attached to the worker's [`crate::Collector`], and filled
 //! automatically: every [`crate::Span`] that drops while the collector
 //! carries the trace appends a `(stage, duration)` breadcrumb. Because
 //! the engine's isolation helpers re-install the caller's collector on
 //! helper and pool threads, breadcrumbs from shard solves and budgeted
 //! solves land on the same trace as the admitting request — which is
-//! what makes one slow solve attributable to its connection, verb,
-//! router shard, and LP stage.
+//! what makes one slow solve attributable to its connection, verb, and
+//! LP stage.
 //!
 //! The trace is deliberately cheap enough to be on by default: one
 //! `Arc` allocation per request, and one short mutex-guarded push per
 //! completed span (spans are per-stage, not per-iteration).
 
-use std::sync::atomic::{AtomicI64, Ordering};
 use std::sync::{Mutex, MutexGuard};
 use std::time::Instant;
 
@@ -30,14 +29,11 @@ pub struct StageBreadcrumb {
 }
 
 /// Per-request trace context: a server-assigned id, the request verb,
-/// the router shard that owned it (once routed), and the per-stage span
-/// breadcrumbs collected while it executed.
+/// and the per-stage span breadcrumbs collected while it executed.
 #[derive(Debug)]
 pub struct RequestTrace {
     id: u64,
     verb: String,
-    /// Router shard index, -1 until routed.
-    shard: AtomicI64,
     started: Instant,
     stages: Mutex<Vec<StageBreadcrumb>>,
 }
@@ -52,7 +48,6 @@ impl RequestTrace {
         RequestTrace {
             id,
             verb: verb.into(),
-            shard: AtomicI64::new(-1),
             started: Instant::now(),
             stages: Mutex::new(Vec::new()),
         }
@@ -66,19 +61,6 @@ impl RequestTrace {
     /// The request verb.
     pub fn verb(&self) -> &str {
         &self.verb
-    }
-
-    /// Record which router shard the request was dispatched to.
-    pub fn set_shard(&self, shard: u64) {
-        self.shard.store(shard as i64, Ordering::Relaxed);
-    }
-
-    /// The owning router shard, if the request was routed.
-    pub fn shard(&self) -> Option<u64> {
-        match self.shard.load(Ordering::Relaxed) {
-            s if s >= 0 => Some(s as u64),
-            _ => None,
-        }
     }
 
     /// Milliseconds since the trace was created.
@@ -106,8 +88,6 @@ pub struct RequestEvent {
     pub id: u64,
     /// Request verb.
     pub verb: String,
-    /// Owning router shard, if routed.
-    pub shard: Option<u64>,
     /// End-to-end latency, milliseconds.
     pub total_ms: f64,
     /// Error kind for failed requests (`None` = success).
@@ -122,7 +102,6 @@ impl RequestEvent {
         RequestEvent {
             id: trace.id(),
             verb: trace.verb().to_string(),
-            shard: trace.shard(),
             total_ms,
             error,
             stages: trace.stages().into_iter().map(|s| (s.name.to_string(), s.ms)).collect(),
@@ -202,14 +181,6 @@ mod tests {
     }
 
     #[test]
-    fn shard_is_unset_until_routed() {
-        let trace = RequestTrace::new(1, "amend");
-        assert_eq!(trace.shard(), None);
-        trace.set_shard(3);
-        assert_eq!(trace.shard(), Some(3));
-    }
-
-    #[test]
     fn event_log_is_bounded_and_newest_first() {
         let log = EventLog::new(2);
         for i in 0..5u64 {
@@ -226,10 +197,8 @@ mod tests {
     #[test]
     fn event_snapshots_carry_error_and_stages() {
         let trace = RequestTrace::new(7, "amend");
-        trace.set_shard(1);
         trace.record_stage("amend", 3.5);
         let event = RequestEvent::from_trace(&trace, 4.0, Some("timed_out".into()));
-        assert_eq!(event.shard, Some(1));
         assert_eq!(event.error.as_deref(), Some("timed_out"));
         assert_eq!(event.stages, vec![("amend".to_string(), 3.5)]);
     }

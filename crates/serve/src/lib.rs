@@ -1,15 +1,14 @@
 //! # atsched-serve — a long-running solve service
 //!
 //! This crate turns the batch-solve engine into a network service: an
-//! event-driven TCP server speaking newline-delimited JSON, sharing
-//! [`Engine`](atsched_engine::Engine) shards (and their content-keyed
-//! solve caches) across every connection.
+//! event-driven TCP server speaking newline-delimited JSON, sharing one
+//! [`Engine`](atsched_engine::Engine) (and its content-keyed solve
+//! cache) across every connection.
 //!
-//! Connections are served by [`atsched_net`] readiness reactors — a
-//! single reactor thread multiplexes thousands of sockets — and solve
-//! work is consistent-hashed across router shards ([`router`]), each
-//! with its own engine and bounded admission queue. No async runtime,
-//! no external dependencies.
+//! Connections are served by one [`atsched_net`] readiness reactor — a
+//! single thread multiplexing thousands of sockets — which feeds solve
+//! work through one bounded admission queue to the solver threads. No
+//! async runtime, no external dependencies.
 //!
 //! ## Service guarantees
 //!
@@ -17,8 +16,9 @@
 //!   queue or is shed *immediately* with a typed `overloaded` error
 //!   ([`admission`]). The server never queues unboundedly.
 //! - **Deadlines.** Every request gets a wall-clock budget (its own
-//!   `timeout_ms` or the server default) enforced with the engine's
-//!   watchdog isolation; overruns answer `timed_out`.
+//!   `timeout_ms` or the server default), counted from admission and
+//!   enforced with the engine's watchdog isolation; overruns answer
+//!   `timed_out`, and work whose budget ran out in the queue never runs.
 //! - **Fault containment.** A malformed frame poisons that request, not
 //!   the connection; a panicking solve poisons that request, not the
 //!   server.
@@ -26,12 +26,12 @@
 //!   drains everything already accepted, and acks with the final stats
 //!   snapshot ([`shutdown`]).
 //! - **Observability.** The `stats` verb reports request counters,
-//!   cache hit rate, windowed (10s/1m/5m) rates, per-shard sections,
-//!   recent slow requests with per-stage timings, and end-to-end
-//!   latency percentiles ([`stats`]); the `metrics` verb (and the
-//!   optional `metrics_addr` HTTP listener) exposes the same registry
-//!   as Prometheus-style text ([`scrape`]). Every admitted request
-//!   carries a server-assigned trace id, echoed in its response.
+//!   cache hit rate, windowed (10s/1m/5m) rates, recent slow requests
+//!   with per-stage timings, and end-to-end latency percentiles
+//!   ([`stats`]); the `metrics` verb (and the optional `metrics_addr`
+//!   HTTP listener) exposes the same registry as Prometheus-style text
+//!   ([`scrape`]). Every admitted request carries a server-assigned
+//!   trace id, echoed in its response.
 //! - **Versioned evolution.** Requests may declare a protocol
 //!   `version` (absent means v1); the v2 session verbs `open` /
 //!   `amend` / `close` expose the engine's incremental re-solve, and
@@ -67,17 +67,17 @@ pub mod admission;
 pub mod client;
 pub mod loadgen;
 pub mod protocol;
-pub mod router;
 pub mod scrape;
 pub mod server;
+mod service;
 pub mod shutdown;
 pub mod stats;
 
 pub use client::{Client, ClientError};
 pub use loadgen::{run_load, LoadConfig, LoadReport, Payload};
 pub use protocol::{
-    kind, verb, BatchItemReply, BatchReply, DeltaSpec, ErrorInfo, Request, Response, ShardStats,
-    SlowRequest, SolveReply, StageTiming, StatsReply, WindowChange, PROTOCOL_VERSION,
+    kind, verb, BatchItemReply, BatchReply, DeltaSpec, ErrorInfo, Request, Response, SlowRequest,
+    SolveReply, StageTiming, StatsReply, WindowChange, PROTOCOL_VERSION,
 };
 pub use scrape::render_prometheus;
 pub use server::{Server, ServerConfig, ServerHandle};

@@ -421,31 +421,6 @@ pub struct BatchReply {
     pub cache_misses: u64,
 }
 
-/// One router shard's slice of the stats plane.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct ShardStats {
-    /// Router shard index.
-    pub shard: u64,
-    /// Requests waiting in this shard's admission queue right now.
-    pub queue_len: u64,
-    /// This shard's admission-queue capacity.
-    pub queue_capacity: u64,
-    /// Wire-visible sessions owned by this shard's engine.
-    pub sessions_open: u64,
-    /// This shard engine's lifetime cache hits.
-    pub cache_hits: u64,
-    /// This shard engine's lifetime cache misses.
-    pub cache_misses: u64,
-    /// Requests routed to this shard, lifetime.
-    pub requests: u64,
-    /// Requests per second routed to this shard, last 10 seconds.
-    pub rate_10s: f64,
-    /// Requests per second routed to this shard, last minute.
-    pub rate_1m: f64,
-    /// Requests per second routed to this shard, last five minutes.
-    pub rate_5m: f64,
-}
-
 /// One completed stage of a traced request.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct StageTiming {
@@ -456,15 +431,13 @@ pub struct StageTiming {
 }
 
 /// One recent slow or errored request, from the server's bounded event
-/// log: identity, owning shard, outcome, and per-stage timings.
+/// log: identity, outcome, and per-stage timings.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct SlowRequest {
     /// Server-assigned request id (echoed in the reply's `request`).
     pub request: u64,
     /// Request verb.
     pub verb: String,
-    /// Owning router shard, when the request was routed.
-    pub shard: Option<u64>,
     /// End-to-end latency (admission → response), milliseconds.
     pub total_ms: f64,
     /// Error kind for failed requests (`None` = success).
@@ -513,16 +486,10 @@ pub struct StatsReply {
     /// Wire-visible sessions open right now (reported after an eager
     /// TTL sweep, so no expired stragglers are counted).
     pub sessions_open: u64,
-    /// Router event-loop workers serving connections (1 unless the
-    /// server runs in sharded router mode).
-    pub router_workers: u64,
-    /// Per-router-shard sections: queue depth, sessions, cache totals,
-    /// and windowed request rates for each shard.
-    pub shards: Vec<ShardStats>,
     /// Recent slow or errored requests (newest first) from the bounded
     /// server event log, with per-stage timings.
     pub slow: Vec<SlowRequest>,
-    /// Lifetime engine outcome counters (summed across router shards).
+    /// Lifetime engine outcome counters.
     pub engine: EngineTotals,
     /// End-to-end latency of completed requests (admission → response),
     /// lifetime histogram percentiles, milliseconds.
@@ -977,7 +944,6 @@ mod tests {
         let slow = SlowRequest {
             request: 12,
             verb: "amend".into(),
-            shard: Some(1),
             total_ms: 88.5,
             error: None,
             stages: vec![StageTiming { stage: "lp".into(), ms: 80.0 }],
@@ -985,22 +951,6 @@ mod tests {
         let line = serde_json::to_string(&slow).unwrap();
         let back: SlowRequest = serde_json::from_str(&line).unwrap();
         assert_eq!(back, slow);
-
-        let shard = ShardStats {
-            shard: 0,
-            queue_len: 1,
-            queue_capacity: 8,
-            sessions_open: 2,
-            cache_hits: 3,
-            cache_misses: 4,
-            requests: 7,
-            rate_10s: 0.5,
-            rate_1m: 0.25,
-            rate_5m: 0.05,
-        };
-        let back: ShardStats =
-            serde_json::from_str(&serde_json::to_string(&shard).unwrap()).unwrap();
-        assert_eq!(back, shard);
     }
 
     #[test]

@@ -15,7 +15,7 @@
 //! `_count` / `_sum` / quantile-labelled lines, and windowed
 //! instruments into `_rate_10s` / `_rate_1m` / `_rate_5m` lines.
 
-use crate::server::{snapshot_all, Shared};
+use crate::server::{snapshot, Shared};
 use atsched_obs::RegistrySnapshot;
 use std::fmt::Write as _;
 use std::io::{Read, Write};
@@ -92,7 +92,7 @@ impl MetricsListener {
 
 /// Spawn the scrape listener on `addr` (port 0 picks an ephemeral
 /// port). Runs on its own blocking thread with a non-blocking accept
-/// loop — scrapes never contend with the reactors or solver pools for
+/// loop — scrapes never contend with the reactor or solver pool for
 /// anything but the registry's interning locks.
 pub(crate) fn spawn_metrics_listener(
     shared: Arc<Shared>,
@@ -139,11 +139,11 @@ fn serve_scrape(shared: &Arc<Shared>, mut stream: std::net::TcpStream) {
     }
     let request_line = String::from_utf8_lossy(&head);
     let path = request_line.split_whitespace().nth(1).unwrap_or("/metrics").to_string();
-    // Strictly read-only: eviction belongs to the router's periodic
+    // Strictly read-only: eviction belongs to the reactor's periodic
     // sweep timer, not to whoever happens to scrape. A monitoring-only
     // observer must not mutate the session table (and a *never*-scraped
     // server must still expire sessions — see the no-traffic test).
-    let snapshot = snapshot_all(shared);
+    let snapshot = snapshot(shared);
     let (content_type, body) = if path == "/metrics" {
         ("text/plain; version=0.0.4", render_prometheus(&snapshot.registry))
     } else {

@@ -3,42 +3,38 @@
 //! Architecture (epoll readiness via `atsched-net`, no async runtime):
 //!
 //! ```text
-//!        reactor 0 (owns the listener, accepts)
-//!            │ round-robin handoff of connections
-//!            ▼
-//!   R reactor event loops ── frames ── parse ── validate
+//!   reactor (owns the listener and every connection)
+//!        │ frames ── parse ── validate
 //!        │                               │
 //!        │ health/stats/close            │ solve/batch/open/amend
 //!        ▼                               ▼
-//!   answered inline          consistent-hash route to a shard
+//!   answered inline              AdmissionQueue ──full──▶ `overloaded`
 //!                                        │
-//!                            AdmissionQueue[shard] ──full──▶ `overloaded`
-//!                                        │
-//!                            shard solver threads (Engine + cache)
-//!                                        │ per-request deadline
+//!                            solver threads (one Engine + cache)
+//!                                        │ deadline counted from admission
 //!                                        ▼
-//!                            Remote mailbox ──▶ owning reactor writes
+//!                            Remote mailbox ──▶ reactor writes
 //! ```
 //!
 //! Request/response is strictly sequential per connection: admitting a
 //! request pauses reading on that connection until its reply (or its
 //! deadline preemption) resumes it, so replies can never cross-wire.
 //! One reactor thread multiplexes thousands of connections; parallelism
-//! comes from the solver threads behind each shard's bounded queue.
+//! comes from the solver threads behind the bounded queue.
 
 use crate::admission::AdmissionQueue;
 use crate::protocol::{
     kind, verb, BatchItemReply, BatchReply, DeltaSpec, Request, Response, SolveReply,
     PROTOCOL_VERSION,
 };
-use crate::router::{HashRing, Msg, ServeLoop};
+use crate::service::{Msg, ServeLoop};
 use crate::shutdown::ShutdownGate;
 use crate::stats::ServerMetrics;
 use atsched_core::instance::Instance;
 use atsched_core::solver::{LpStrategy, SolverOptions};
 use atsched_engine::{with_budget, Engine, EngineConfig, Interrupt, Outcome, SessionId};
 use atsched_net::{ConnId, Reactor, ReactorConfig, Remote};
-use atsched_obs::{Collector, EventLog, RequestEvent, RequestTrace, WindowedCounter};
+use atsched_obs::{Collector, EventLog, RequestEvent, RequestTrace};
 use nested_active_time::{Error, Method, Solve};
 use std::collections::HashMap;
 use std::io;
@@ -56,10 +52,10 @@ pub struct ServerConfig {
     /// Solver worker threads; `0` means one per available core.
     pub workers: usize,
     /// Admission-queue depth — the load-shedding threshold; `0` means
-    /// `2 × workers`. Split across router shards.
+    /// `2 × workers`.
     pub queue_depth: usize,
-    /// Router event-loop workers (each with its own engine shard and
-    /// admission queue); `0` means 1.
+    /// Reactor count. The server runs one reactor, so only `0` and `1`
+    /// are accepted; [`Server::bind`] refuses anything larger.
     pub router_workers: usize,
     /// Deadline applied to requests that do not set `timeout_ms`;
     /// `None` disables the default cap.
@@ -75,7 +71,7 @@ pub struct ServerConfig {
     /// deterministically); keep `0` in production.
     pub delay_ms: u64,
     /// Idle time after which an open session is evicted — swept
-    /// periodically by reactor 0 and eagerly on every session verb and
+    /// periodically by the reactor and eagerly on every session verb and
     /// on `stats`.
     pub session_ttl: Duration,
     /// Optional plain-HTTP scrape listener address (`host:port`, port 0
@@ -128,7 +124,7 @@ impl ServerConfig {
         self
     }
 
-    /// Set the router event-loop worker count (`0` = 1).
+    /// Set the reactor count; [`Server::bind`] accepts only `0` or `1`.
     pub fn router_workers(mut self, n: usize) -> Self {
         self.router_workers = n;
         self
@@ -183,15 +179,6 @@ impl ServerConfig {
         }
         2 * self.effective_workers()
     }
-
-    fn effective_router_workers(&self) -> usize {
-        self.router_workers.max(1)
-    }
-}
-
-/// `total` split as evenly as possible over `parts`, slot `index`.
-fn share(total: usize, parts: usize, index: usize) -> usize {
-    total / parts + usize::from(index < total % parts)
 }
 
 /// A validated unit of admitted work.
@@ -234,66 +221,50 @@ pub(crate) fn timeout_of(work: &Work) -> Option<Duration> {
     }
 }
 
-/// A queued request: validated work plus its reply path back to the
-/// reactor that owns the connection.
+/// A queued request: validated work plus the connection and sequence
+/// number its reply is matched against.
 pub(crate) struct Job {
     pub(crate) id: Option<u64>,
     pub(crate) work: Work,
     pub(crate) conn: ConnId,
     pub(crate) seq: u64,
-    pub(crate) reply_to: Remote<Msg>,
+    /// When the reactor queued the job; its deadline counts from here.
     pub(crate) admitted: Instant,
     /// Request-trace context created at admission: server-assigned id,
-    /// verb, owning shard, and (once executed) per-stage breadcrumbs.
+    /// verb, and (once executed) per-stage breadcrumbs.
     pub(crate) trace: Arc<RequestTrace>,
 }
 
-/// One router shard: an engine (with its own solve cache) fed by a
-/// bounded admission queue, drained by `threads` solver threads.
-pub(crate) struct ShardState {
-    pub(crate) engine: Engine,
-    pub(crate) queue: AdmissionQueue<Job>,
-    threads: usize,
-}
-
-/// A wire-visible session: which shard's engine holds it, under which
-/// engine-local id, and when it was last touched (for the idle TTL).
-pub(crate) struct SessionEntry {
-    pub(crate) shard: usize,
-    pub(crate) engine: SessionId,
-    pub(crate) touched: Instant,
-}
-
-/// Events the reactors raise to the coordinator in [`Server::run`].
+/// Events the reactor raises to the coordinator in [`Server::run`].
 pub(crate) enum DrainEvent {
-    /// A `shutdown` verb won the gate on `reactor`; answer `conn` with
-    /// the final snapshot once the drain completes.
-    Request { reactor: usize, conn: ConnId, id: Option<u64> },
-    /// A reactor's event loop died with an I/O error.
+    /// A `shutdown` verb won the gate; answer `conn` with the final
+    /// snapshot once the drain completes.
+    Request { conn: ConnId, id: Option<u64> },
+    /// The reactor's event loop died with an I/O error.
     ReactorFailed(String),
 }
 
-/// Everything shared between the reactors, solver threads, and the
+/// Everything shared between the reactor, solver threads, and the
 /// coordinator.
 pub(crate) struct Shared {
     pub(crate) cfg: ServerConfig,
     pub(crate) metrics: ServerMetrics,
     pub(crate) gate: ShutdownGate,
     pub(crate) started: Instant,
-    pub(crate) shards: Vec<ShardState>,
-    pub(crate) ring: HashRing,
-    /// Wire session id → owning shard + engine session. Wire ids are
-    /// allocated server-side ([`Shared::next_session`]) because engine
-    /// session ids are only unique per shard.
-    pub(crate) sessions: Mutex<HashMap<u64, SessionEntry>>,
-    pub(crate) next_session: AtomicU64,
+    /// The one engine (solve cache and sessions) every worker solves on.
+    pub(crate) engine: Engine,
+    /// The bounded queue between the reactor and the solver threads.
+    pub(crate) queue: AdmissionQueue<Job>,
+    /// Wire-visible sessions and when each was last touched (for the
+    /// idle TTL). The wire id is the engine's [`SessionId`].
+    pub(crate) sessions: Mutex<HashMap<SessionId, Instant>>,
     /// `open` requests admitted but not yet registered in the table;
     /// counted against `max_sessions` so a burst of opens cannot blow
     /// past the cap while in flight.
     pub(crate) open_reservations: AtomicUsize,
-    /// One mailbox per reactor; set once by [`Server::run`] before any
+    /// The reactor's mailbox; set once by [`Server::run`] before the
     /// reactor thread starts.
-    remotes: OnceLock<Vec<Remote<Msg>>>,
+    remote: OnceLock<Remote<Msg>>,
     pub(crate) drain_tx: mpsc::Sender<DrainEvent>,
     pub(crate) drain_written_tx: mpsc::Sender<()>,
     /// Server-assigned request ids for admitted work (monotonic,
@@ -301,18 +272,11 @@ pub(crate) struct Shared {
     pub(crate) next_request_id: AtomicU64,
     /// Bounded log of recent slow or errored requests.
     pub(crate) events: EventLog,
-    /// Per-shard windowed request counters
-    /// (`serve.shard.{i}.requests`), bumped at admission.
-    pub(crate) shard_requests: Vec<Arc<WindowedCounter>>,
 }
 
 impl Shared {
-    pub(crate) fn remotes(&self) -> &[Remote<Msg>] {
-        self.remotes.get().expect("remotes installed before serving")
-    }
-
-    pub(crate) fn remote(&self, reactor: usize) -> Remote<Msg> {
-        self.remotes()[reactor].clone()
+    pub(crate) fn remote(&self) -> &Remote<Msg> {
+        self.remote.get().expect("remote installed before serving")
     }
 }
 
@@ -355,57 +319,49 @@ impl ServerHandle {
 impl Server {
     /// Bind the listen socket; the server starts serving on
     /// [`run`](Server::run) / [`spawn`](Server::spawn).
+    ///
+    /// Fails with [`io::ErrorKind::InvalidInput`] when
+    /// [`ServerConfig::router_workers`] asks for more than one reactor.
     pub fn bind(cfg: ServerConfig) -> io::Result<Server> {
+        if cfg.router_workers > 1 {
+            return Err(io::Error::new(
+                io::ErrorKind::InvalidInput,
+                format!("router_workers = {}: the server runs one reactor", cfg.router_workers),
+            ));
+        }
         // Thousands of concurrent connections need fd headroom beyond
         // the usual 1024 soft cap; best-effort raise to the hard limit.
         let _ = atsched_net::raise_nofile_limit();
         let listener = TcpListener::bind(&cfg.addr)?;
         let addr = listener.local_addr()?;
-        let routers = cfg.effective_router_workers();
-        let total_threads = cfg.effective_workers();
-        let total_depth = cfg.effective_queue_depth();
-        // One registry shared by server-level counters and every shard
-        // engine's solver instrumentation: `stats` snapshots all of it.
+        // One registry shared by server-level counters and the engine's
+        // solver instrumentation: `stats` snapshots all of it.
         let registry = Arc::new(atsched_obs::Registry::new());
-        let shards = (0..routers)
-            .map(|i| {
-                let threads = share(total_threads, routers, i).max(1);
-                ShardState {
-                    engine: Engine::with_registry(
-                        EngineConfig::default().workers(threads),
-                        Arc::clone(&registry),
-                    ),
-                    queue: AdmissionQueue::new(share(total_depth, routers, i).max(1)),
-                    threads,
-                }
-            })
-            .collect();
-        let shard_requests = (0..routers)
-            .map(|i| registry.windowed_counter(&format!("serve.shard.{i}.requests")))
-            .collect();
+        let engine = Engine::with_registry(
+            EngineConfig::default().workers(cfg.effective_workers()),
+            Arc::clone(&registry),
+        );
         let (drain_tx, drain_rx) = mpsc::channel();
         let (drain_written_tx, written_rx) = mpsc::channel();
         let shared = Arc::new(Shared {
-            cfg,
             metrics: ServerMetrics::new(registry),
             gate: ShutdownGate::default(),
             started: Instant::now(),
-            ring: HashRing::new(routers),
-            shards,
+            engine,
+            queue: AdmissionQueue::new(cfg.effective_queue_depth()),
             sessions: Mutex::new(HashMap::new()),
-            next_session: AtomicU64::new(0),
             open_reservations: AtomicUsize::new(0),
-            remotes: OnceLock::new(),
+            remote: OnceLock::new(),
             drain_tx,
             drain_written_tx,
             next_request_id: AtomicU64::new(0),
             // Enough depth to hold a burst of slow requests without
             // unbounded growth; `stats` reports the newest few.
             events: EventLog::new(64),
-            shard_requests,
+            cfg,
         });
         // The scrape surface is read-only and independent of the
-        // reactors, so it can start answering as soon as the state it
+        // reactor, so it can start answering as soon as the state it
         // snapshots exists.
         let scrape = match &shared.cfg.metrics_addr {
             Some(addr) => Some(crate::scrape::spawn_metrics_listener(Arc::clone(&shared), addr)?),
@@ -430,64 +386,50 @@ impl Server {
     pub fn run(self) -> io::Result<crate::protocol::StatsReply> {
         let Server { listener, addr: _, shared, drain_rx, written_rx, scrape } = self;
 
-        // Build every reactor before spawning anything, so a failure
-        // here needs no cleanup.
+        // Build the reactor before spawning anything, so a failure here
+        // needs no cleanup.
         let rcfg =
             ReactorConfig { max_line_bytes: shared.cfg.max_line_bytes, ..ReactorConfig::default() };
-        let mut built = Vec::new();
-        let mut remotes = Vec::new();
-        for index in 0..shared.shards.len() {
-            let (reactor, remote) =
-                Reactor::new(rcfg.clone(), ServeLoop::new(Arc::clone(&shared), index))?;
-            built.push(reactor);
-            remotes.push(remote);
-        }
-        built[0].listen(listener)?;
-        assert!(shared.remotes.set(remotes).is_ok(), "remotes installed once");
+        let (mut reactor, remote) = Reactor::new(rcfg, ServeLoop::new(Arc::clone(&shared)))?;
+        reactor.listen(listener)?;
+        assert!(shared.remote.set(remote).is_ok(), "remote installed once");
 
-        let solvers: Vec<JoinHandle<()>> = shared
-            .shards
-            .iter()
-            .enumerate()
-            .flat_map(|(index, shard)| (0..shard.threads).map(move |_| index).collect::<Vec<_>>())
-            .map(|index| {
+        let solvers: Vec<JoinHandle<()>> = (0..shared.engine.config().workers)
+            .map(|_| {
                 let shared = Arc::clone(&shared);
-                thread::spawn(move || worker_loop(&shared, index))
+                thread::spawn(move || worker_loop(&shared))
             })
             .collect();
 
-        let reactors: Vec<JoinHandle<()>> = built
-            .into_iter()
-            .map(|reactor| {
-                let shared = Arc::clone(&shared);
-                thread::spawn(move || {
-                    if let Err(e) = reactor.run() {
-                        let _ = shared.drain_tx.send(DrainEvent::ReactorFailed(e.to_string()));
-                    }
-                })
+        let event_loop = {
+            let shared = Arc::clone(&shared);
+            thread::spawn(move || {
+                if let Err(e) = reactor.run() {
+                    let _ = shared.drain_tx.send(DrainEvent::ReactorFailed(e.to_string()));
+                }
             })
-            .collect();
+        };
 
-        // Coordinator: block until a `shutdown` wins the gate (or a
+        // Coordinator: block until a `shutdown` wins the gate (or the
         // reactor dies), drain, snapshot, answer, stop.
         let event = drain_rx.recv().unwrap_or_else(|_| {
-            DrainEvent::ReactorFailed("every reactor exited without draining".into())
+            DrainEvent::ReactorFailed("the reactor exited without draining".into())
         });
         let result = match event {
-            DrainEvent::Request { reactor, conn, id } => {
-                // The winning reactor already closed every queue;
-                // joining the solvers waits out the admitted backlog.
+            DrainEvent::Request { conn, id } => {
+                // The reactor already closed the queue; joining the
+                // solvers waits out the admitted backlog.
                 for solver in solvers {
                     let _ = solver.join();
                 }
-                // Every reply the workers sent is already in its
+                // Every reply the workers sent is already in the
                 // reactor's mailbox (FIFO), so the snapshot reflects a
                 // fully-answered server — and the drain closes all
                 // live sessions before reporting.
                 drain_sessions(&shared);
-                let snapshot = snapshot_all(&shared);
+                let snapshot = snapshot(&shared);
                 let resp = Response::ok_stats(id, verb::SHUTDOWN, snapshot.clone());
-                if shared.remotes()[reactor].send(Msg::Final { conn, resp: Box::new(resp) }) {
+                if shared.remote().send(Msg::Final { conn, resp: Box::new(resp) }) {
                     // Give the requester a grace window to receive it.
                     let _ = written_rx.recv_timeout(Duration::from_secs(5));
                 }
@@ -495,9 +437,7 @@ impl Server {
             }
             DrainEvent::ReactorFailed(msg) => {
                 shared.gate.begin_silent();
-                for shard in &shared.shards {
-                    shard.queue.close();
-                }
+                shared.queue.close();
                 for solver in solvers {
                     let _ = solver.join();
                 }
@@ -507,12 +447,8 @@ impl Server {
         if let Some(scrape) = scrape {
             scrape.shutdown();
         }
-        for remote in shared.remotes() {
-            remote.send(Msg::Stop);
-        }
-        for reactor in reactors {
-            let _ = reactor.join();
-        }
+        shared.remote().send(Msg::Stop);
+        let _ = event_loop.join();
         result
     }
 
@@ -687,27 +623,26 @@ pub(crate) fn validate(req: &Request, default_timeout: Option<Duration>) -> Resu
 }
 
 /// Evict sessions idle past the TTL. Called eagerly on session verbs
-/// and `stats`, and periodically by reactor 0; counts each eviction
+/// and `stats`, and periodically by the reactor; counts each eviction
 /// under `serve.sessions_expired`.
 pub(crate) fn sweep_sessions(shared: &Shared) {
     let ttl = shared.cfg.session_ttl;
-    let mut table = shared.sessions.lock().expect("sessions lock");
-    let expired: Vec<u64> =
-        table.iter().filter(|(_, e)| e.touched.elapsed() > ttl).map(|(&id, _)| id).collect();
-    for id in expired {
-        if let Some(entry) = table.remove(&id) {
-            shared.shards[entry.shard].engine.close_session(entry.engine);
+    shared.sessions.lock().expect("sessions lock").retain(|&id, touched| {
+        let live = touched.elapsed() <= ttl;
+        if !live {
+            shared.engine.close_session(id);
             shared.metrics.session_expired();
         }
-    }
+        live
+    });
 }
 
 /// Force-close every live session during the shutdown drain; counts
 /// each under `serve.sessions_evicted`.
 pub(crate) fn drain_sessions(shared: &Shared) {
     let mut table = shared.sessions.lock().expect("sessions lock");
-    for (_, entry) in table.drain() {
-        shared.shards[entry.shard].engine.close_session(entry.engine);
+    for (id, _) in table.drain() {
+        shared.engine.close_session(id);
         shared.metrics.session_evicted();
     }
 }
@@ -716,43 +651,10 @@ pub(crate) fn drain_sessions(shared: &Shared) {
 /// log retains more; this bounds the frame size).
 const SLOW_REPLY_LIMIT: usize = 8;
 
-/// The merged stats plane: one snapshot summing every router shard,
-/// plus per-shard sections and the recent slow-request list.
-pub(crate) fn snapshot_all(shared: &Shared) -> crate::protocol::StatsReply {
-    let engines: Vec<&Engine> = shared.shards.iter().map(|s| &s.engine).collect();
-    let queue_len: usize = shared.shards.iter().map(|s| s.queue.len()).sum();
-    let queue_capacity: usize = shared.shards.iter().map(|s| s.queue.capacity()).sum();
-    let (sessions_open, sessions_by_shard) = {
-        let table = shared.sessions.lock().expect("sessions lock");
-        let mut by_shard = vec![0u64; shared.shards.len()];
-        for entry in table.values() {
-            if let Some(n) = by_shard.get_mut(entry.shard) {
-                *n += 1;
-            }
-        }
-        (table.len() as u64, by_shard)
-    };
-    let shards = shared
-        .shards
-        .iter()
-        .enumerate()
-        .map(|(i, s)| {
-            let cache = s.engine.cache_stats();
-            let rates = shared.shard_requests[i].rates();
-            crate::protocol::ShardStats {
-                shard: i as u64,
-                queue_len: s.queue.len() as u64,
-                queue_capacity: s.queue.capacity() as u64,
-                sessions_open: sessions_by_shard[i],
-                cache_hits: cache.hits,
-                cache_misses: cache.misses,
-                requests: shared.shard_requests[i].get(),
-                rate_10s: rates.rate_10s,
-                rate_1m: rates.rate_1m,
-                rate_5m: rates.rate_5m,
-            }
-        })
-        .collect();
+/// The stats plane: the engine's snapshot plus the session count and
+/// the recent slow-request list.
+pub(crate) fn snapshot(shared: &Shared) -> crate::protocol::StatsReply {
+    let sessions_open = shared.sessions.lock().expect("sessions lock").len() as u64;
     let slow = shared
         .events
         .recent(SLOW_REPLY_LIMIT)
@@ -760,7 +662,6 @@ pub(crate) fn snapshot_all(shared: &Shared) -> crate::protocol::StatsReply {
         .map(|e| crate::protocol::SlowRequest {
             request: e.id,
             verb: e.verb,
-            shard: e.shard,
             total_ms: e.total_ms,
             error: e.error,
             stages: e
@@ -770,14 +671,12 @@ pub(crate) fn snapshot_all(shared: &Shared) -> crate::protocol::StatsReply {
                 .collect(),
         })
         .collect();
-    shared.metrics.snapshot_merged(
-        &engines,
+    shared.metrics.snapshot(
+        &shared.engine,
         shared.started,
-        queue_len,
-        queue_capacity,
+        shared.queue.len(),
+        shared.queue.capacity(),
         sessions_open,
-        shared.shards.len() as u64,
-        shards,
         slow,
     )
 }
@@ -797,8 +696,9 @@ pub(crate) fn handle_close(shared: &Shared, req: &Request) -> Response {
             "close needs a `session` id".into(),
         );
     };
-    let entry = shared.sessions.lock().expect("sessions lock").remove(&session);
-    let closed = entry.is_some_and(|e| shared.shards[e.shard].engine.close_session(e.engine));
+    let id = SessionId::from(session);
+    let listed = shared.sessions.lock().expect("sessions lock").remove(&id).is_some();
+    let closed = listed && shared.engine.close_session(id);
     if closed {
         shared.metrics.session_closed();
         Response::ok(req.id, verb::CLOSE).with_version(PROTOCOL_VERSION).with_session(session)
@@ -817,13 +717,31 @@ pub(crate) fn handle_close(shared: &Shared, req: &Request) -> Response {
 // Workers
 // ---------------------------------------------------------------------
 
-fn worker_loop(shared: &Arc<Shared>, shard_idx: usize) {
-    while let Some(job) = shared.shards[shard_idx].queue.pop() {
+/// An admitted request's wall-clock budget. Its deadline counts from
+/// admission (DESIGN §8.2): time spent queued is budget spent.
+#[derive(Debug, Clone, Copy)]
+struct Budget {
+    /// The whole budget (the request's `timeout_ms` or the server
+    /// default); a `timed_out` reply names it.
+    timeout: Option<Duration>,
+    admitted: Instant,
+}
+
+impl Budget {
+    /// What is left of the budget now; `None` without a deadline.
+    fn left(self) -> Option<Duration> {
+        self.timeout.map(|t| t.saturating_sub(self.admitted.elapsed()))
+    }
+}
+
+fn worker_loop(shared: &Arc<Shared>) {
+    while let Some(job) = shared.queue.pop() {
         if shared.cfg.delay_ms > 0 {
             thread::sleep(Duration::from_millis(shared.cfg.delay_ms));
         }
-        let Job { id, work, conn, seq, reply_to, admitted, trace } = job;
+        let Job { id, work, conn, seq, admitted, trace } = job;
         let was_open = matches!(work, Work::Open { .. });
+        let budget = Budget { timeout: timeout_of(&work), admitted };
         // Execute under a collector carrying the request trace: spans
         // dropping anywhere in the solve (including on pool and budget
         // helper threads, which re-install this collector) leave their
@@ -832,25 +750,17 @@ fn worker_loop(shared: &Arc<Shared>, shard_idx: usize) {
         let collector =
             Collector::new(Arc::clone(shared.metrics.registry())).with_request(Arc::clone(&trace));
         let resp = atsched_obs::with_collector(collector, || match work {
-            Work::Solve { inst, method, opts, seed, timeout, include_schedule } => execute_solve(
-                shared,
-                shard_idx,
-                id,
-                inst,
-                method,
-                opts,
-                seed,
-                timeout,
-                include_schedule,
-            ),
-            Work::Batch { instances, opts, timeout } => {
-                execute_batch(shared, shard_idx, id, instances, opts, timeout)
+            Work::Solve { inst, method, opts, seed, include_schedule, .. } => {
+                execute_solve(shared, id, inst, method, opts, seed, budget, include_schedule)
             }
-            Work::Open { inst, opts, timeout, include_schedule } => {
-                execute_open(shared, shard_idx, id, inst, opts, timeout, include_schedule)
+            Work::Batch { instances, opts, .. } => {
+                execute_batch(shared, id, instances, opts, budget)
             }
-            Work::Amend { session, delta, timeout, include_schedule } => {
-                execute_amend(shared, id, session, delta, timeout, include_schedule)
+            Work::Open { inst, opts, include_schedule, .. } => {
+                execute_open(shared, id, inst, opts, budget, include_schedule)
+            }
+            Work::Amend { session, delta, include_schedule, .. } => {
+                execute_amend(shared, id, session, delta, budget, include_schedule)
             }
         });
         if was_open {
@@ -871,34 +781,32 @@ fn worker_loop(shared: &Arc<Shared>, shard_idx: usize) {
         let resp = resp.with_request(trace.id());
         // Stale replies (deadline-preempted, connection gone) are
         // dropped by the reactor's seq check; nothing to do here.
-        let _ = reply_to.send(Msg::Reply { conn, seq, resp: Box::new(resp) });
+        let _ = shared.remote().send(Msg::Reply { conn, seq, resp: Box::new(resp) });
     }
 }
 
 #[allow(clippy::too_many_arguments)]
 fn execute_solve(
     shared: &Arc<Shared>,
-    shard_idx: usize,
     id: Option<u64>,
     inst: Instance,
     method: Method,
     opts: SolverOptions,
     seed: Option<u64>,
-    timeout: Option<Duration>,
+    budget: Budget,
     include_schedule: bool,
 ) -> Response {
     let start = Instant::now();
     let method = method.resolve(&inst);
+    let timeout = budget.timeout;
     if method == Method::Nested {
-        // Nested solves go through the shard engine so repeats across
-        // requests (and clients) hit its content-keyed cache — and the
-        // consistent-hash routing sends repeats to the same shard.
-        let outcome =
-            within(shared, timeout, move |s| s.shards[shard_idx].engine.solve_one(&inst, &opts))
-                .unwrap_or_else(|interrupt| match interrupt {
-                    Interrupt::TimedOut => Outcome::TimedOut,
-                    Interrupt::Panicked(msg) => Outcome::Failed(msg),
-                });
+        // Nested solves go through the engine so repeats across
+        // requests (and clients) hit its content-keyed cache.
+        let outcome = within(shared, budget, move |s| s.engine.solve_one(&inst, &opts))
+            .unwrap_or_else(|interrupt| match interrupt {
+                Interrupt::TimedOut => Outcome::TimedOut,
+                Interrupt::Panicked(msg) => Outcome::Failed(msg),
+            });
         let elapsed_ms = start.elapsed().as_secs_f64() * 1e3;
         let infeasible = "instance is infeasible";
         outcome_response(
@@ -915,8 +823,10 @@ fn execute_solve(
         if let Some(seed) = seed {
             solve = solve.seed(seed);
         }
-        if let Some(budget) = timeout {
-            solve = solve.timeout(budget);
+        match budget.left() {
+            None => {}
+            Some(Duration::ZERO) => return deadline_response(id, verb::SOLVE, timeout),
+            Some(left) => solve = solve.timeout(left),
         }
         let result = solve.run();
         let elapsed_ms = start.elapsed().as_secs_f64() * 1e3;
@@ -949,17 +859,14 @@ fn execute_solve(
 
 fn execute_batch(
     shared: &Arc<Shared>,
-    shard_idx: usize,
     id: Option<u64>,
     instances: Vec<Instance>,
     opts: SolverOptions,
-    timeout: Option<Duration>,
+    budget: Budget,
 ) -> Response {
-    let result = match within(shared, timeout, move |s| {
-        s.shards[shard_idx].engine.solve_batch(&instances, &opts)
-    }) {
+    let result = match within(shared, budget, move |s| s.engine.solve_batch(&instances, &opts)) {
         Ok(result) => result,
-        Err(Interrupt::TimedOut) => return deadline_response(id, verb::BATCH, timeout),
+        Err(Interrupt::TimedOut) => return deadline_response(id, verb::BATCH, budget.timeout),
         Err(Interrupt::Panicked(msg)) => {
             return Response::error(id, Some(verb::BATCH), kind::FAILED, msg)
         }
@@ -996,19 +903,21 @@ fn execute_batch(
     )
 }
 
-/// Run `work` on the shared state, in place without a `timeout` and on
-/// a [`with_budget`] helper thread with one. The work owns its inputs,
-/// so neither branch copies them.
-fn within<T, F>(shared: &Arc<Shared>, timeout: Option<Duration>, work: F) -> Result<T, Interrupt>
+/// Run `work` on the shared state within what is left of `budget`: in
+/// place without a deadline, on a [`with_budget`] helper thread with
+/// one, and not at all once the queue wait has spent it. The work owns
+/// its inputs, so no branch copies them.
+fn within<T, F>(shared: &Arc<Shared>, budget: Budget, work: F) -> Result<T, Interrupt>
 where
     T: Send + 'static,
     F: FnOnce(&Shared) -> T + Send + 'static,
 {
-    match timeout {
+    match budget.left() {
         None => Ok(work(shared)),
-        Some(budget) => {
+        Some(Duration::ZERO) => Err(Interrupt::TimedOut),
+        Some(left) => {
             let shared = Arc::clone(shared);
-            with_budget(move || work(&shared), budget)
+            with_budget(move || work(&shared), left)
         }
     }
 }
@@ -1077,11 +986,10 @@ enum OpenClaim {
 
 fn execute_open(
     shared: &Arc<Shared>,
-    shard_idx: usize,
     id: Option<u64>,
     inst: Instance,
     opts: SolverOptions,
-    timeout: Option<Duration>,
+    budget: Budget,
     include_schedule: bool,
 ) -> Response {
     sweep_sessions(shared);
@@ -1091,12 +999,11 @@ fn execute_open(
     // closes that orphan, so exactly one does.
     let claim = Arc::new(Mutex::new(OpenClaim::Pending));
     let worker_claim = Arc::clone(&claim);
-    let opened = within(shared, timeout, move |s| {
-        let engine = &s.shards[shard_idx].engine;
-        let session = engine.open_session(inst, &opts);
+    let opened = within(shared, budget, move |s| {
+        let session = s.engine.open_session(inst, &opts);
         let mut claim = worker_claim.lock().expect("open claim lock");
         if matches!(*claim, OpenClaim::Abandoned) {
-            engine.close_session(session.id());
+            s.engine.close_session(session.id());
         } else {
             *claim = OpenClaim::Opened(session.id());
         }
@@ -1105,25 +1012,20 @@ fn execute_open(
     if opened.is_err() {
         let mut claim = claim.lock().expect("open claim lock");
         if let OpenClaim::Opened(orphan) = *claim {
-            shared.shards[shard_idx].engine.close_session(orphan);
+            shared.engine.close_session(orphan);
         }
         *claim = OpenClaim::Abandoned;
     }
     let elapsed_ms = start.elapsed().as_secs_f64() * 1e3;
+    let timeout = budget.timeout;
     match opened {
-        Ok((engine_id, outcome)) => {
-            // Engine session ids are shard-local: allocate the
-            // wire-visible id here, where uniqueness is global.
-            let wire = shared.next_session.fetch_add(1, Ordering::SeqCst) + 1;
-            shared.sessions.lock().expect("sessions lock").insert(
-                wire,
-                SessionEntry { shard: shard_idx, engine: engine_id, touched: Instant::now() },
-            );
+        Ok((session, outcome)) => {
+            shared.sessions.lock().expect("sessions lock").insert(session, Instant::now());
             shared.metrics.session_opened();
             session_outcome_response(
                 id,
                 verb::OPEN,
-                wire,
+                session.as_u64(),
                 outcome,
                 elapsed_ms,
                 include_schedule,
@@ -1146,7 +1048,7 @@ fn execute_amend(
     id: Option<u64>,
     session: u64,
     delta: DeltaSpec,
-    timeout: Option<Duration>,
+    budget: Budget,
     include_schedule: bool,
 ) -> Response {
     sweep_sessions(shared);
@@ -1159,29 +1061,28 @@ fn execute_amend(
         )
         .with_version(PROTOCOL_VERSION)
     };
-    // Resolve the wire id to its owning shard. The reactor routed by
-    // the table too, but this lookup is the authoritative one (the
-    // entry may have expired or closed while the job sat queued).
-    let entry = {
-        let table = shared.sessions.lock().expect("sessions lock");
-        table.get(&session).map(|e| (e.shard, e.engine))
-    };
-    let Some((shard, engine_id)) = entry else {
+    // Only wire-visible sessions are amendable (the entry may have
+    // expired or closed while the job sat queued).
+    let engine_id = SessionId::from(session);
+    if !shared.sessions.lock().expect("sessions lock").contains_key(&engine_id) {
         return unknown();
-    };
+    }
     let start = Instant::now();
     // `None` inside the budget result means the session vanished
     // between the table check and the engine lookup (a concurrent
     // `close` won the race) — that is "unknown session", not an error.
-    let amended = within(shared, timeout, move |s| {
-        s.shards[shard].engine.session(engine_id).map(|session| session.amend(&delta.to_delta()))
+    let amended = within(shared, budget, move |s| {
+        s.engine.session(engine_id).map(|session| session.amend(&delta.to_delta()))
     });
     let elapsed_ms = start.elapsed().as_secs_f64() * 1e3;
+    let timeout = budget.timeout;
     match amended {
         Ok(None) => unknown(),
         Ok(Some(Ok(outcome))) => {
-            if let Some(e) = shared.sessions.lock().expect("sessions lock").get_mut(&session) {
-                e.touched = Instant::now();
+            if let Some(touched) =
+                shared.sessions.lock().expect("sessions lock").get_mut(&engine_id)
+            {
+                *touched = Instant::now();
             }
             session_outcome_response(
                 id,
@@ -1305,13 +1206,6 @@ mod tests {
             let err = lp(fields).unwrap_err();
             assert!(err.contains(needle), "{fields:?}: {err}");
         }
-    }
-
-    #[test]
-    fn work_shares_split_evenly_with_a_floor() {
-        assert_eq!((0..3).map(|i| share(7, 3, i)).collect::<Vec<_>>(), vec![3, 2, 2]);
-        assert_eq!((0..4).map(|i| share(8, 4, i)).collect::<Vec<_>>(), vec![2, 2, 2, 2]);
-        assert_eq!((0..4).map(|i| share(1, 4, i)).sum::<usize>(), 1);
     }
 
     /// A payload whose serialization always fails, standing in for a

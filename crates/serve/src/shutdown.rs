@@ -2,17 +2,17 @@
 //!
 //! The `shutdown` verb follows a strict sequence:
 //!
-//! 1. The reactor that receives the verb flips the gate (first caller
-//!    wins) and closes every shard's admission queue — from this
-//!    instant new work is refused with `shutting_down`, while
-//!    everything already admitted stays poppable.
+//! 1. The reactor flips the gate when the verb arrives (first caller
+//!    wins) and closes the admission queue — from this instant new work
+//!    is refused with `shutting_down`, while everything already
+//!    admitted stays poppable.
 //! 2. The coordinator (the thread inside [`Server::run`]) joins the
-//!    solver workers; joining only returns once every queue is drained
-//!    and every in-flight solve has been answered through its reactor.
-//! 3. The coordinator evicts all live sessions, builds the final merged
-//!    stats snapshot, and hands it back to the requester's reactor,
-//!    which writes it as the `shutdown` response, acknowledges the
-//!    flush, and lets the coordinator stop every event loop.
+//!    solver workers; joining only returns once the queue is drained
+//!    and every in-flight solve has been answered through the reactor.
+//! 3. The coordinator evicts all live sessions, builds the final stats
+//!    snapshot, and hands it back to the reactor, which writes it as the
+//!    `shutdown` response, acknowledges the flush, and lets the
+//!    coordinator stop the event loop.
 //!
 //! A second `shutdown` while draining gets a `shutting_down` error —
 //! exactly one requester receives the final snapshot.

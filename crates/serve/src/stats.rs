@@ -7,7 +7,7 @@
 //! `stats` verb ships the whole registry snapshot over the wire
 //! alongside the typed [`StatsReply`] fields.
 
-use crate::protocol::{ShardStats, SlowRequest, StatsReply};
+use crate::protocol::{SlowRequest, StatsReply};
 use atsched_engine::{Engine, Percentiles};
 use atsched_obs::{
     Counter, Gauge, HistogramSnapshot, Registry, WindowedCounter, WindowedHistogram,
@@ -157,69 +157,29 @@ impl ServerMetrics {
         self.inflight.get().max(0) as u64
     }
 
-    /// Build a wire-ready snapshot of everything observable for a
-    /// single-engine server (the pre-router shape): a thin wrapper over
-    /// [`snapshot_merged`](Self::snapshot_merged).
+    /// Build a wire-ready snapshot of everything observable: the
+    /// engine's cache and outcome totals, the caller's queue figures,
+    /// session count and recent slow-request list (it owns the queue,
+    /// session table and event log), and the server-level counters from
+    /// the registry the engine also writes into.
     pub fn snapshot(
         &self,
         engine: &Engine,
         started: Instant,
         queue_len: usize,
         queue_capacity: usize,
-    ) -> StatsReply {
-        self.snapshot_merged(
-            &[engine],
-            started,
-            queue_len,
-            queue_capacity,
-            0,
-            1,
-            Vec::new(),
-            Vec::new(),
-        )
-    }
-
-    /// Build a wire-ready snapshot merged across every router shard:
-    /// cache and outcome totals are summed over the shard engines,
-    /// queue figures are the caller's totals, and the server-level
-    /// counters come from the one registry every shard writes into.
-    /// The caller supplies the per-shard sections and the recent
-    /// slow-request list (it owns the shard tables and event log).
-    #[allow(clippy::too_many_arguments)]
-    pub fn snapshot_merged(
-        &self,
-        engines: &[&Engine],
-        started: Instant,
-        queue_len: usize,
-        queue_capacity: usize,
         sessions_open: u64,
-        router_workers: u64,
-        shards: Vec<ShardStats>,
         slow: Vec<SlowRequest>,
     ) -> StatsReply {
-        let mut hits = 0u64;
-        let mut misses = 0u64;
-        let mut evictions = 0u64;
-        let mut entries = 0u64;
-        let mut totals = atsched_engine::EngineTotals::default();
-        for engine in engines {
-            let cache = engine.cache_stats();
-            hits += cache.hits;
-            misses += cache.misses;
-            evictions += cache.evictions;
-            entries += engine.cache_len() as u64;
-            let t = engine.totals();
-            totals.solved += t.solved;
-            totals.infeasible += t.infeasible;
-            totals.timed_out += t.timed_out;
-            totals.failed += t.failed;
-        }
+        let cache = engine.cache_stats();
+        let (hits, misses) = (cache.hits, cache.misses);
+        let entries = engine.cache_len() as u64;
         let hit_rate = if hits + misses == 0 { 0.0 } else { hits as f64 / (hits + misses) as f64 };
         // Mirror externally-sourced cache totals into gauges so the
         // registry snapshot is self-contained for generic consumers.
         self.registry.gauge("engine.cache.hits").set(hits as i64);
         self.registry.gauge("engine.cache.misses").set(misses as i64);
-        self.registry.gauge("engine.cache.evictions").set(evictions as i64);
+        self.registry.gauge("engine.cache.evictions").set(cache.evictions as i64);
         self.registry.gauge("engine.cache.entries").set(entries as i64);
         StatsReply {
             uptime_ms: started.elapsed().as_secs_f64() * 1e3,
@@ -239,10 +199,8 @@ impl ServerMetrics {
             cache_hit_rate: hit_rate,
             cache_entries: entries,
             sessions_open,
-            router_workers,
-            shards,
             slow,
-            engine: totals,
+            engine: engine.totals(),
             latency_ms: Percentiles::from_snapshot(&HistogramSnapshot::of(self.latency.lifetime())),
             registry: self.registry.snapshot(),
         }
@@ -268,7 +226,7 @@ mod tests {
         assert_eq!(m.inflight(), 0);
 
         let engine = Engine::new(EngineConfig::default());
-        let snap = m.snapshot(&engine, Instant::now(), 3, 8);
+        let snap = m.snapshot(&engine, Instant::now(), 3, 8, 0, Vec::new());
         assert_eq!(snap.received, 2);
         assert_eq!(snap.bad_requests, 1);
         assert_eq!(snap.accepted, 2);
@@ -288,7 +246,6 @@ mod tests {
         assert!(snap.registry.window("serve.received").is_some());
         assert!(snap.registry.window("serve.completed").is_some());
         assert_eq!(snap.registry.window_histogram("serve.latency_ms").unwrap().w10s.count, 2);
-        assert!(snap.shards.is_empty());
         assert!(snap.slow.is_empty());
         // The snapshot survives the wire format.
         let line = serde_json::to_string(&snap).unwrap();
@@ -306,7 +263,7 @@ mod tests {
         m.admitted();
         m.finished(1.0, false, false);
         engine.registry().counter("lp.pivots").add(7);
-        let snap = m.snapshot(&engine, Instant::now(), 0, 4);
+        let snap = m.snapshot(&engine, Instant::now(), 0, 4, 0, Vec::new());
         assert_eq!(snap.registry.counter("serve.completed"), Some(1));
         assert_eq!(snap.registry.counter("lp.pivots"), Some(7));
         assert_eq!(snap.registry.gauge("engine.cache.entries"), Some(0));

@@ -1,14 +1,12 @@
-//! Load and scale-out integration tests: a single reactor worker
-//! holding 1k+ concurrent connections, the sharded router preserving
-//! protocol semantics with merged stats, and the bounded session
-//! table shedding and sweeping (satellite coverage for `max_sessions`
-//! and `serve.sessions_evicted`).
+//! Load integration tests: the one reactor holding 1k+ concurrent
+//! connections, the bind-time refusal of more reactors, and the bounded
+//! session table shedding and sweeping (satellite coverage for
+//! `max_sessions` and `serve.sessions_evicted`).
 
 use atsched_core::instance::{Instance, Job};
 use atsched_obs::Registry;
 use atsched_serve::{
-    kind, run_load, Client, ClientError, DeltaSpec, LoadConfig, Payload, Server, ServerConfig,
-    ServerHandle,
+    kind, run_load, Client, ClientError, LoadConfig, Payload, Server, ServerConfig, ServerHandle,
 };
 use std::sync::Arc;
 
@@ -55,57 +53,19 @@ fn single_reactor_sustains_1k_concurrent_connections() {
     handle.join().unwrap();
 }
 
-/// Router mode: two reactor shards, each with its own engine and
-/// admission queue, behave exactly like one server — solves, the full
-/// session flow, and a merged stats plane that reconciles.
+/// The server runs one reactor: asking for more is a configuration
+/// error at bind time, not a silently ignored knob.
 #[test]
-fn router_shards_preserve_protocol_semantics_and_merge_stats() {
-    let handle = spawn_server(ServerConfig::default().workers(2).router_workers(2));
-
-    // Several clients so connection round-robin lands on both shards.
-    let mut clients: Vec<Client> =
-        (0..4).map(|_| Client::connect(handle.addr()).unwrap()).collect();
-
-    // Distinct instances route to (potentially) different shards; every
-    // answer must still be exact.
-    let mut solved = 0u64;
-    for (i, client) in clients.iter_mut().enumerate() {
-        for r in 0..3i64 {
-            let base = 10 * (i as i64 + 1) * (r + 1);
-            let inst = Instance::new(
-                2,
-                vec![Job::new(base, base + 6, 2), Job::new(base + 1, base + 4, 1)],
-            )
-            .unwrap();
-            let expect =
-                nested_active_time::Solve::new(&inst).run().expect("feasible").active_time() as u64;
-            let reply = client.solve(atsched_serve::Request::solve(&inst)).expect("solve");
-            assert_eq!(reply.active_slots, expect);
-            solved += 1;
-        }
+fn bind_refuses_more_than_one_reactor() {
+    let err = Server::bind(ServerConfig::default().addr("127.0.0.1:0").router_workers(2))
+        .err()
+        .expect("two reactors are refused");
+    assert_eq!(err.kind(), std::io::ErrorKind::InvalidInput, "{err}");
+    for n in [0, 1] {
+        let handle = spawn_server(ServerConfig::default().workers(1).router_workers(n));
+        Client::connect(handle.addr()).unwrap().shutdown().expect("drain");
+        handle.join().unwrap();
     }
-
-    // The full session flow works across the sharded table: the wire
-    // session id is server-global, the engine session lives on one shard.
-    let inst = small_instance();
-    let (session, opened) = clients[0].open(&inst).expect("open");
-    let delta = DeltaSpec::new().remove(1);
-    let amended = clients[0].amend(session, &delta).expect("amend");
-    assert!(amended.active_slots <= opened.active_slots);
-
-    let stats = clients[1].stats().expect("stats");
-    assert_eq!(stats.router_workers, 2, "merged stats report the shard count");
-    assert_eq!(stats.sessions_open, 1);
-    assert!(stats.engine.solved >= solved, "engine totals merge across shards: {stats:?}");
-
-    assert!(clients[0].close(session).is_ok());
-    let stats = clients[2].stats().expect("stats");
-    assert_eq!(stats.sessions_open, 0);
-
-    let final_stats = clients[3].shutdown().expect("drain");
-    assert_eq!(final_stats.inflight, 0);
-    assert_eq!(final_stats.router_workers, 2);
-    handle.join().unwrap();
 }
 
 /// Satellite (a): the session table is bounded. Opens beyond

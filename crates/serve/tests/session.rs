@@ -60,10 +60,12 @@ fn open_amend_close_flow_matches_cold_solves() {
 
     // The session registry counters moved.
     let stats = client.stats().expect("stats");
+    assert_eq!(stats.sessions_open, 1);
     assert_eq!(stats.registry.counter("serve.sessions_opened"), Some(1));
     assert_eq!(stats.registry.counter("engine.amends"), Some(2));
 
     client.close(session).expect("close");
+    assert_eq!(client.stats().expect("stats").sessions_open, 0);
     // Closing again (and amending a closed session) is the typed error.
     match client.close(session).unwrap_err() {
         ClientError::Service { kind: k, .. } => assert_eq!(k, kind::UNKNOWN_SESSION),
@@ -148,6 +150,41 @@ fn timed_out_opens_leave_no_engine_session_behind() {
         std::thread::sleep(Duration::from_millis(50));
     }
     assert_eq!(engine_open, Some(0), "{timed_out} timed-out opens left engine sessions open");
+
+    client.shutdown().expect("drain");
+    handle.join().unwrap();
+}
+
+#[test]
+fn work_whose_deadline_passes_in_the_queue_never_runs() {
+    // One worker that sleeps 1.5 s before each job: a 100 ms budget is
+    // spent in the queue, so the reactor answers `timed_out` at budget
+    // + 1 s. The deadline counts from admission, so the worker must not
+    // then run the job: an `open` would register a session no client
+    // learns the id of, and a `solve` would burn a solver thread.
+    let handle = spawn_server(ServerConfig::default().workers(1).delay_ms(1500));
+    let mut client = Client::connect(handle.addr()).unwrap();
+    let inst = Instance::new(2, vec![Job::new(0, 4, 2), Job::new(1, 3, 1)]).unwrap();
+
+    let opened = client.request(Request::open(&inst).with_timeout_ms(100)).expect("open reply");
+    assert_eq!(opened.error_kind(), Some(kind::TIMED_OUT), "{opened:?}");
+    let solved = client.request(Request::solve(&inst).with_timeout_ms(100)).expect("solve reply");
+    assert_eq!(solved.error_kind(), Some(kind::TIMED_OUT), "{solved:?}");
+
+    // Wait until the worker has dequeued both jobs and answered them
+    // (its stale replies are dropped by the reactor).
+    let mut stats = client.stats().expect("stats");
+    for _ in 0..100 {
+        if stats.completed == 2 {
+            break;
+        }
+        std::thread::sleep(Duration::from_millis(50));
+        stats = client.stats().expect("stats");
+    }
+    assert_eq!(stats.completed, 2, "{stats:?}");
+    assert_eq!(stats.sessions_open, 0, "the expired open registered a session");
+    assert_eq!(stats.registry.counter("serve.sessions_opened").unwrap_or(0), 0);
+    assert_eq!(stats.engine.solved, 0, "expired work still reached the engine: {stats:?}");
 
     client.shutdown().expect("drain");
     handle.join().unwrap();
