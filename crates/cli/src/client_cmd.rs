@@ -10,6 +10,7 @@ pub(crate) fn cmd_client(args: &[String]) -> Result<(), String> {
     let addr = args.first().ok_or("client needs ADDR (host:port) and a verb")?;
     let verb = args.get(1).map(String::as_str).ok_or("client needs a verb after ADDR")?;
     let rest = &args[2..];
+    crate::check_flags(&format!("client {verb}"), rest)?;
     let mut client =
         Client::connect(addr.as_str()).map_err(|e| format!("connecting to {addr}: {e}"))?;
     match verb {
@@ -69,9 +70,7 @@ pub(crate) fn cmd_client(args: &[String]) -> Result<(), String> {
             );
             Ok(())
         }
-        other => Err(format!(
-            "unknown client verb '{other}' (solve|batch|open|amend|close|stats|metrics|health|shutdown)"
-        )),
+        _ => unreachable!("check_flags admits only the verbs above"),
     }
 }
 
@@ -153,16 +152,14 @@ fn cmd_solve(client: &mut Client, args: &[String]) -> Result<(), String> {
     if crate::has_flag(args, "--polish") {
         req = req.with_polish(true);
     }
-    if let Some(seed) = crate::flag_value(args, "--seed") {
-        req = req.with_seed(seed.parse().map_err(|_| format!("invalid value for --seed: {seed}"))?);
+    if let Some(seed) = crate::parse_opt(args, "--seed")? {
+        req = req.with_seed(seed);
     }
     if let Some(shard) = crate::flag_value(args, "--shard") {
         req = req.with_shard(shard);
     }
-    if let Some(ms) = crate::flag_value(args, "--timeout-ms") {
-        req = req.with_timeout_ms(
-            ms.parse().map_err(|_| format!("invalid value for --timeout-ms: {ms}"))?,
-        );
+    if let Some(ms) = crate::parse_opt(args, "--timeout-ms")? {
+        req = req.with_timeout_ms(ms);
     }
     let want_schedule = crate::flag_value(args, "--schedule");
     if want_schedule.is_some() {

@@ -1,21 +1,7 @@
 //! `atsched` — command-line front end for the nested active-time
-//! scheduling library.
-//!
-//! ```text
-//! atsched generate --g 3 --horizon 24 --seed 7 --out inst.json
-//! atsched solve inst.json [--lp certified|exact|float] [--polish] [--no-ceiling] [--schedule out.json] [--metrics]
-//! atsched batch [inst.json ...] [--count N] [--workers N] [--no-cache] [--timeout-ms N] [--check]
-//!               [--trace-out trace.json]
-//! atsched opt inst.json [--parallel]
-//! atsched greedy inst.json [--order ltr|rtl|rand]
-//! atsched verify inst.json schedule.json
-//! atsched gaps --family lemma51|gap2 --g 4
-//! atsched serve [--addr HOST:PORT] [--workers N] [--queue N] [--timeout-ms N]
-//!               [--max-sessions N] [--session-ttl-ms N] [--metrics-addr HOST:PORT] [--slow-ms N]
-//! atsched top ADDR [--interval-ms N] [--count N] [--no-clear]
-//! atsched client ADDR solve|batch|open|amend|close|stats|health|shutdown ...
-//! atsched amend ADDR inst.json --delta delta.json [--delta d2.json ...]
-//! ```
+//! scheduling library. `atsched --help` prints the subcommands and their
+//! flags ([`USAGE`]); each subcommand refuses a flag it does not take
+//! ([`FLAGS`]).
 //!
 //! Argument parsing is deliberately dependency-free.
 
@@ -44,22 +30,11 @@ use std::sync::Arc;
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let result = match args.first().map(String::as_str) {
-        Some("generate") => cmd_generate(&args[1..]),
-        Some("solve") => cmd_solve(&args[1..]),
-        Some("batch") => cmd_batch(&args[1..]),
-        Some("opt") => cmd_opt(&args[1..]),
-        Some("greedy") => cmd_greedy(&args[1..]),
-        Some("verify") => cmd_verify(&args[1..]),
-        Some("gaps") => cmd_gaps(&args[1..]),
-        Some("serve") => serve_cmd::cmd_serve(&args[1..]),
-        Some("top") => top_cmd::cmd_top(&args[1..]),
-        Some("client") => client_cmd::cmd_client(&args[1..]),
-        Some("amend") => client_cmd::cmd_amend(&args[1..]),
         Some("--help") | Some("-h") | None => {
             print!("{}", USAGE);
             Ok(())
         }
-        Some(other) => Err(format!("unknown subcommand '{other}'\n{USAGE}")),
+        Some(cmd) => run(cmd, &args[1..]),
     };
     match result {
         Ok(()) => ExitCode::SUCCESS,
@@ -81,7 +56,7 @@ USAGE:
                 [--workers N] [--no-cache] [--timeout-ms N] [--lp certified|exact|float] [--polish]
                 [--shard auto|off|force] [--check] [--keep-going] [--out FILE] [--trace-out FILE]
   atsched opt INSTANCE.json [--parallel]
-  atsched greedy INSTANCE.json [--order ltr|rtl|rand]
+  atsched greedy INSTANCE.json [--order ltr|rtl|rand] [--seed N]
   atsched verify INSTANCE.json SCHEDULE.json
   atsched gaps --family lemma51|gap2 --g N
   atsched serve [--addr HOST:PORT] [--workers N] [--queue N] [--timeout-ms N]
@@ -96,6 +71,78 @@ USAGE:
   atsched amend ADDR INSTANCE --delta DELTA.json [--delta DELTA.json ...] [--keep-open]
 ";
 
+/// Run one subcommand, once its flags pass [`check_flags`].
+fn run(cmd: &str, args: &[String]) -> Result<(), String> {
+    let run: fn(&[String]) -> Result<(), String> = match cmd {
+        "generate" => cmd_generate,
+        "solve" => cmd_solve,
+        "batch" => cmd_batch,
+        "opt" => cmd_opt,
+        "greedy" => cmd_greedy,
+        "verify" => cmd_verify,
+        "gaps" => cmd_gaps,
+        "serve" => serve_cmd::cmd_serve,
+        "top" => top_cmd::cmd_top,
+        "amend" => client_cmd::cmd_amend,
+        // Checks the flags of its verb.
+        "client" => return client_cmd::cmd_client(args),
+        other => return Err(format!("unknown subcommand '{other}'\n{USAGE}")),
+    };
+    check_flags(cmd, args)?;
+    run(args)
+}
+
+/// The flags of each subcommand, and of each `client` verb as
+/// `client VERB`: those that take a value, then the switches.
+const FLAGS: &[(&str, &str, &str)] = &[
+    ("generate", "--g --horizon --seed --roots --gap --child-percent --out", ""),
+    ("solve", "--lp --shard --schedule --svg", "--polish --no-ceiling --metrics"),
+    (
+        "batch",
+        "--count --g --horizon --seed --roots --workers --timeout-ms --lp --shard --out --trace-out",
+        "--no-cache --polish --check --keep-going",
+    ),
+    ("opt", "", "--parallel"),
+    ("greedy", "--order --seed", ""),
+    ("verify", "", ""),
+    ("gaps", "--family --g", ""),
+    (
+        "serve",
+        "--addr --workers --queue --timeout-ms --max-sessions --session-ttl-ms --delay-ms \
+         --metrics-addr --slow-ms",
+        "",
+    ),
+    ("top", "--interval-ms --count", "--no-clear"),
+    ("client solve", "--method --lp --seed --shard --timeout-ms --schedule", "--polish"),
+    ("client batch", "", ""),
+    ("client open", "", ""),
+    ("client amend", "", ""),
+    ("client close", "", ""),
+    ("client stats", "", ""),
+    ("client metrics", "", ""),
+    ("client health", "", ""),
+    ("client shutdown", "", ""),
+    ("amend", "--delta", "--keep-open"),
+];
+
+/// Refuse any `--flag` that `cmd` does not take (see [`FLAGS`]) and a
+/// value flag with no value. A flag may repeat (`amend --delta`).
+pub(crate) fn check_flags(cmd: &str, args: &[String]) -> Result<(), String> {
+    let (_, values, switches) = FLAGS
+        .iter()
+        .find(|(name, ..)| *name == cmd)
+        .ok_or_else(|| format!("unknown subcommand '{cmd}'\n{USAGE}"))?;
+    let mut args = args.iter();
+    while let Some(arg) = args.next() {
+        if values.split_whitespace().any(|flag| flag == arg) {
+            args.next().ok_or_else(|| format!("{arg} needs a value (atsched {cmd})"))?;
+        } else if arg.starts_with("--") && !switches.split_whitespace().any(|flag| flag == arg) {
+            return Err(format!("unknown flag {arg} for `atsched {cmd}` (see `atsched --help`)"));
+        }
+    }
+    Ok(())
+}
+
 pub(crate) fn flag_value<'a>(args: &'a [String], name: &str) -> Option<&'a str> {
     args.iter().position(|a| a == name).and_then(|i| args.get(i + 1)).map(String::as_str)
 }
@@ -109,10 +156,17 @@ pub(crate) fn parse_num<T: std::str::FromStr>(
     name: &str,
     default: T,
 ) -> Result<T, String> {
-    match flag_value(args, name) {
-        None => Ok(default),
-        Some(v) => v.parse().map_err(|_| format!("invalid value for {name}: {v}")),
-    }
+    Ok(parse_opt(args, name)?.unwrap_or(default))
+}
+
+/// The value of flag `name`, parsed, when it is given.
+pub(crate) fn parse_opt<T: std::str::FromStr>(
+    args: &[String],
+    name: &str,
+) -> Result<Option<T>, String> {
+    flag_value(args, name)
+        .map(|v| v.parse().map_err(|_| format!("invalid value for {name}: {v}")))
+        .transpose()
 }
 
 /// Load an instance: `.txt` files use the plain-text exchange format,
@@ -264,8 +318,7 @@ fn cmd_batch(args: &[String]) -> Result<(), String> {
     let mut cfg = EngineConfig::default()
         .workers(parse_num(args, "--workers", 0usize)?)
         .cache(!has_flag(args, "--no-cache"));
-    if let Some(ms) = flag_value(args, "--timeout-ms") {
-        let ms: u64 = ms.parse().map_err(|_| format!("invalid value for --timeout-ms: {ms}"))?;
+    if let Some(ms) = parse_opt(args, "--timeout-ms")? {
         cfg = cfg.timeout(std::time::Duration::from_millis(ms));
     }
 
@@ -519,6 +572,81 @@ mod tests {
             err,
             "instance 0: lp=certified outcome solved diverges from lp=exact infeasible"
         );
+    }
+
+    /// The flags USAGE lists for each subcommand (each `client` verb on
+    /// its own, keyed like [`FLAGS`]), each with whether a value
+    /// follows it.
+    fn usage_flags() -> Vec<(String, Vec<(String, bool)>)> {
+        let mut synopses: Vec<String> = Vec::new();
+        for line in USAGE.lines() {
+            match line.strip_prefix("  atsched ") {
+                Some(synopsis) => synopses.push(synopsis.to_string()),
+                None if line.starts_with("    ") => synopses.last_mut().unwrap().push_str(line),
+                None => {}
+            }
+        }
+        let mut out = Vec::new();
+        for synopsis in &synopses {
+            let (cmd, rest) = synopsis.split_once(' ').unwrap_or((synopsis, ""));
+            let parts: Vec<(String, &str)> = match rest.strip_prefix("ADDR ") {
+                Some(verbs) if cmd == "client" => verbs
+                    .split(" | ")
+                    .map(|part| {
+                        let (verb, rest) = part.split_once(' ').unwrap_or((part, ""));
+                        (format!("client {verb}"), rest)
+                    })
+                    .collect(),
+                _ => vec![(cmd.to_string(), rest)],
+            };
+            for (name, text) in parts {
+                let words: Vec<&str> = text.split_whitespace().collect();
+                let flags = words.iter().enumerate().filter_map(|(i, word)| {
+                    let flag = word.trim_start_matches('[');
+                    let bare = flag.trim_end_matches(']');
+                    let value = |next: &&str| !next.starts_with('[') && !next.starts_with("--");
+                    let takes_value = bare == flag && words.get(i + 1).is_some_and(value);
+                    flag.starts_with("--").then(|| (bare.to_string(), takes_value))
+                });
+                out.push((name, flags.collect()));
+            }
+        }
+        out
+    }
+
+    #[test]
+    fn every_subcommand_takes_exactly_the_flags_usage_lists() {
+        let usage = usage_flags();
+        assert_eq!(usage.len(), FLAGS.len(), "{usage:?}");
+        for (name, listed) in usage {
+            let (_, values, switches) = FLAGS
+                .iter()
+                .find(|(cmd, ..)| *cmd == name)
+                .unwrap_or_else(|| panic!("USAGE lists `{name}`, FLAGS does not"));
+            let mut want: Vec<(String, bool)> =
+                values.split_whitespace().map(|f| (f.to_string(), true)).collect();
+            want.extend(switches.split_whitespace().map(|f| (f.to_string(), false)));
+            want.sort();
+            let mut listed = listed;
+            listed.sort();
+            listed.dedup(); // `amend` shows `--delta` twice
+            assert_eq!(listed, want, "`atsched {name}`: USAGE against FLAGS");
+
+            for (flag, takes_value) in &listed {
+                let mut args = vec![flag.clone()];
+                if *takes_value {
+                    args.push("1".into());
+                    assert!(check_flags(&name, &args[..1]).unwrap_err().contains("needs a value"));
+                }
+                args.extend(args.clone()); // a flag may repeat
+                assert_eq!(check_flags(&name, &args), Ok(()), "{name} {args:?}");
+            }
+            let err = check_flags(&name, &["--polsh".to_string()]).unwrap_err();
+            assert!(
+                err.starts_with(&format!("unknown flag --polsh for `atsched {name}`")),
+                "{err}"
+            );
+        }
     }
 
     #[test]

@@ -17,24 +17,19 @@ pub(crate) fn cmd_serve(args: &[String]) -> Result<(), String> {
     if let Some(addr) = crate::flag_value(args, "--addr") {
         cfg = cfg.addr(addr);
     }
-    if let Some(ms) = crate::flag_value(args, "--timeout-ms") {
-        let ms: u64 = ms.parse().map_err(|_| format!("invalid value for --timeout-ms: {ms}"))?;
-        cfg = cfg.default_timeout(if ms == 0 { None } else { Some(Duration::from_millis(ms)) });
+    if let Some(ms) = crate::parse_opt(args, "--timeout-ms")? {
+        cfg = cfg.default_timeout((ms > 0).then(|| Duration::from_millis(ms)));
     }
-    if let Some(n) = crate::flag_value(args, "--max-sessions") {
-        let n: usize = n.parse().map_err(|_| format!("invalid value for --max-sessions: {n}"))?;
+    if let Some(n) = crate::parse_opt(args, "--max-sessions")? {
         cfg = cfg.max_sessions(n);
     }
-    if let Some(ms) = crate::flag_value(args, "--session-ttl-ms") {
-        let ms: u64 =
-            ms.parse().map_err(|_| format!("invalid value for --session-ttl-ms: {ms}"))?;
+    if let Some(ms) = crate::parse_opt(args, "--session-ttl-ms")? {
         cfg = cfg.session_ttl(Duration::from_millis(ms));
     }
     if let Some(addr) = crate::flag_value(args, "--metrics-addr") {
         cfg = cfg.metrics_addr(addr);
     }
-    if let Some(ms) = crate::flag_value(args, "--slow-ms") {
-        let ms: u64 = ms.parse().map_err(|_| format!("invalid value for --slow-ms: {ms}"))?;
+    if let Some(ms) = crate::parse_opt(args, "--slow-ms")? {
         cfg = cfg.slow_ms(ms);
     }
 

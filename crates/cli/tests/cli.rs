@@ -58,6 +58,22 @@ fn batch_exit_code_reflects_lost_work() {
     assert!(out.status.success(), "infeasible is a result, not lost work");
 }
 
+#[test]
+fn unknown_flags_fail_before_any_work() {
+    // The flag check comes before the instance file is read...
+    let out =
+        atsched().args(["solve", "missing.json", "--lpp", "exact", "--polsh"]).output().unwrap();
+    assert!(!out.status.success(), "a misspelled flag must not be ignored");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("unknown flag --lpp for `atsched solve`"), "{stderr}");
+
+    // ...and before a client connects.
+    let out = atsched().args(["client", "127.0.0.1:9", "health", "--polish"]).output().unwrap();
+    assert!(!out.status.success());
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("unknown flag --polish for `atsched client health`"), "{stderr}");
+}
+
 /// Spawn `atsched serve` on an ephemeral port and return the child plus
 /// the address it printed.
 fn spawn_serve(extra: &[&str]) -> (Child, String) {
@@ -88,6 +104,13 @@ fn serve_and_client_roundtrip() {
     let stdout = String::from_utf8_lossy(&out.stdout);
     assert!(stdout.contains("active slots"), "{stdout}");
     assert!(stdout.contains("nested"), "{stdout}");
+
+    // `--lp` goes out as the wire's `lp` field.
+    let out = atsched()
+        .args(["client", &addr, "solve", small.to_str().unwrap(), "--lp", "exact"])
+        .output()
+        .unwrap();
+    assert!(out.status.success(), "solve --lp exact: {}", String::from_utf8_lossy(&out.stderr));
 
     // Service errors surface as nonzero exits with the typed kind.
     let bad = write_instance("bad", &infeasible_instance());

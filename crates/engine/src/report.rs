@@ -14,7 +14,7 @@ use std::time::Duration;
 ///
 /// `Deserialize` as well as `Serialize`: the serve layer ships these
 /// over the wire inside `stats` replies.
-#[derive(Debug, Clone, Copy, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
 pub struct Percentiles {
     /// Median.
     pub p50: f64,

@@ -145,6 +145,11 @@ impl Registry {
 
 /// Frozen percentile summary of one [`Histogram`].
 #[derive(Debug, Clone, PartialEq, Default)]
+#[cfg_attr(
+    feature = "serde",
+    derive(serde::Serialize, serde::Deserialize),
+    serde(default, deny_unknown_fields)
+)]
 pub struct HistogramSnapshot {
     /// Number of samples.
     pub count: u64,

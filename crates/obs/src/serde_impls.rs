@@ -1,10 +1,13 @@
-//! Wire (de)serialization for snapshot types, behind the `serde`
+//! Wire (de)serialization for [`RegistrySnapshot`], behind the `serde`
 //! feature.
 //!
-//! The vendored serde stub has no map `Serialize` impls, so the
-//! name-keyed sections are built manually as `Value::Map` trees — the
-//! same idiom `crates/serve/src/protocol.rs` uses. On the wire a
-//! [`RegistrySnapshot`] is:
+//! Its name-keyed sections are `Vec<(String, T)>`, which the derive
+//! would write as arrays of pairs, so they are built by hand as
+//! `Value::Map` trees. The per-instrument summaries
+//! ([`HistogramSnapshot`](crate::HistogramSnapshot),
+//! [`WindowRates`](crate::WindowRates) and the windowed histogram
+//! snapshots) derive their codecs. On the wire a [`RegistrySnapshot`]
+//! is:
 //!
 //! ```json
 //! {
@@ -16,215 +19,61 @@
 //! }
 //! ```
 
-use crate::registry::{HistogramSnapshot, RegistrySnapshot};
-use crate::window::{WindowRates, WindowStats, WindowedHistogramSnapshot};
+use crate::registry::RegistrySnapshot;
 use serde::de::{from_value, Deserialize, Deserializer, Error as DeError};
 use serde::ser::{to_value, Error as SerError, Serialize, Serializer};
-use serde::value::Value;
-
-impl Serialize for HistogramSnapshot {
-    fn serialize<S: Serializer>(&self, serializer: S) -> Result<S::Ok, S::Error> {
-        serializer.serialize_value(Value::Map(vec![
-            ("count".to_string(), uint_value(self.count)),
-            ("sum".to_string(), Value::Float(self.sum)),
-            ("min".to_string(), Value::Float(self.min)),
-            ("max".to_string(), Value::Float(self.max)),
-            ("p50".to_string(), Value::Float(self.p50)),
-            ("p95".to_string(), Value::Float(self.p95)),
-            ("p99".to_string(), Value::Float(self.p99)),
-        ]))
-    }
-}
-
-impl<'de> Deserialize<'de> for HistogramSnapshot {
-    fn deserialize<D: Deserializer<'de>>(deserializer: D) -> Result<Self, D::Error> {
-        let entries = expect_map(deserializer.deserialize_value()?).map_err(D::Error::custom)?;
-        let mut snap = HistogramSnapshot::default();
-        for (key, value) in entries {
-            match key.as_str() {
-                "count" => snap.count = from_value(value).map_err(D::Error::custom)?,
-                "sum" => snap.sum = from_value(value).map_err(D::Error::custom)?,
-                "min" => snap.min = from_value(value).map_err(D::Error::custom)?,
-                "max" => snap.max = from_value(value).map_err(D::Error::custom)?,
-                "p50" => snap.p50 = from_value(value).map_err(D::Error::custom)?,
-                "p95" => snap.p95 = from_value(value).map_err(D::Error::custom)?,
-                "p99" => snap.p99 = from_value(value).map_err(D::Error::custom)?,
-                other => {
-                    return Err(D::Error::custom(format!("unknown histogram field `{other}`")))
-                }
-            }
-        }
-        Ok(snap)
-    }
-}
-
-impl Serialize for WindowRates {
-    fn serialize<S: Serializer>(&self, serializer: S) -> Result<S::Ok, S::Error> {
-        serializer.serialize_value(Value::Map(vec![
-            ("rate_10s".to_string(), Value::Float(self.rate_10s)),
-            ("rate_1m".to_string(), Value::Float(self.rate_1m)),
-            ("rate_5m".to_string(), Value::Float(self.rate_5m)),
-        ]))
-    }
-}
-
-impl<'de> Deserialize<'de> for WindowRates {
-    fn deserialize<D: Deserializer<'de>>(deserializer: D) -> Result<Self, D::Error> {
-        let entries = expect_map(deserializer.deserialize_value()?).map_err(D::Error::custom)?;
-        let mut rates = WindowRates::default();
-        for (key, value) in entries {
-            match key.as_str() {
-                "rate_10s" => rates.rate_10s = from_value(value).map_err(D::Error::custom)?,
-                "rate_1m" => rates.rate_1m = from_value(value).map_err(D::Error::custom)?,
-                "rate_5m" => rates.rate_5m = from_value(value).map_err(D::Error::custom)?,
-                other => return Err(D::Error::custom(format!("unknown window field `{other}`"))),
-            }
-        }
-        Ok(rates)
-    }
-}
-
-impl Serialize for WindowStats {
-    fn serialize<S: Serializer>(&self, serializer: S) -> Result<S::Ok, S::Error> {
-        serializer.serialize_value(Value::Map(vec![
-            ("count".to_string(), uint_value(self.count)),
-            ("rate".to_string(), Value::Float(self.rate)),
-            ("p50".to_string(), Value::Float(self.p50)),
-            ("p95".to_string(), Value::Float(self.p95)),
-            ("p99".to_string(), Value::Float(self.p99)),
-        ]))
-    }
-}
-
-impl<'de> Deserialize<'de> for WindowStats {
-    fn deserialize<D: Deserializer<'de>>(deserializer: D) -> Result<Self, D::Error> {
-        let entries = expect_map(deserializer.deserialize_value()?).map_err(D::Error::custom)?;
-        let mut stats = WindowStats::default();
-        for (key, value) in entries {
-            match key.as_str() {
-                "count" => stats.count = from_value(value).map_err(D::Error::custom)?,
-                "rate" => stats.rate = from_value(value).map_err(D::Error::custom)?,
-                "p50" => stats.p50 = from_value(value).map_err(D::Error::custom)?,
-                "p95" => stats.p95 = from_value(value).map_err(D::Error::custom)?,
-                "p99" => stats.p99 = from_value(value).map_err(D::Error::custom)?,
-                other => {
-                    return Err(D::Error::custom(format!("unknown window stats field `{other}`")))
-                }
-            }
-        }
-        Ok(stats)
-    }
-}
-
-impl Serialize for WindowedHistogramSnapshot {
-    fn serialize<S: Serializer>(&self, serializer: S) -> Result<S::Ok, S::Error> {
-        serializer.serialize_value(Value::Map(vec![
-            ("10s".to_string(), to_value(&self.w10s).map_err(S::Error::custom)?),
-            ("1m".to_string(), to_value(&self.w1m).map_err(S::Error::custom)?),
-            ("5m".to_string(), to_value(&self.w5m).map_err(S::Error::custom)?),
-        ]))
-    }
-}
-
-impl<'de> Deserialize<'de> for WindowedHistogramSnapshot {
-    fn deserialize<D: Deserializer<'de>>(deserializer: D) -> Result<Self, D::Error> {
-        let entries = expect_map(deserializer.deserialize_value()?).map_err(D::Error::custom)?;
-        let mut snap = WindowedHistogramSnapshot::default();
-        for (key, value) in entries {
-            match key.as_str() {
-                "10s" => snap.w10s = from_value(value).map_err(D::Error::custom)?,
-                "1m" => snap.w1m = from_value(value).map_err(D::Error::custom)?,
-                "5m" => snap.w5m = from_value(value).map_err(D::Error::custom)?,
-                other => return Err(D::Error::custom(format!("unknown window key `{other}`"))),
-            }
-        }
-        Ok(snap)
-    }
-}
+use serde::value::{Value, ValueError};
 
 impl Serialize for RegistrySnapshot {
     fn serialize<S: Serializer>(&self, serializer: S) -> Result<S::Ok, S::Error> {
-        let counters =
-            self.counters.iter().map(|(name, v)| (name.clone(), uint_value(*v))).collect();
-        let gauges = self.gauges.iter().map(|(name, v)| (name.clone(), Value::Int(*v))).collect();
-        let histograms = self
-            .histograms
-            .iter()
-            .map(|(name, h)| Ok((name.clone(), to_value(h).map_err(S::Error::custom)?)))
-            .collect::<Result<Vec<_>, S::Error>>()?;
-        let windows = self
-            .windows
-            .iter()
-            .map(|(name, w)| Ok((name.clone(), to_value(w).map_err(S::Error::custom)?)))
-            .collect::<Result<Vec<_>, S::Error>>()?;
-        let window_histograms = self
-            .window_histograms
-            .iter()
-            .map(|(name, w)| Ok((name.clone(), to_value(w).map_err(S::Error::custom)?)))
-            .collect::<Result<Vec<_>, S::Error>>()?;
-        serializer.serialize_value(Value::Map(vec![
-            ("counters".to_string(), Value::Map(counters)),
-            ("gauges".to_string(), Value::Map(gauges)),
-            ("histograms".to_string(), Value::Map(histograms)),
-            ("windows".to_string(), Value::Map(windows)),
-            ("window_histograms".to_string(), Value::Map(window_histograms)),
-        ]))
+        let sections = [
+            ("counters", named(&self.counters)),
+            ("gauges", named(&self.gauges)),
+            ("histograms", named(&self.histograms)),
+            ("windows", named(&self.windows)),
+            ("window_histograms", named(&self.window_histograms)),
+        ];
+        let sections = sections
+            .into_iter()
+            .map(|(key, section)| Ok((key.to_string(), section.map_err(S::Error::custom)?)))
+            .collect::<Result<_, S::Error>>()?;
+        serializer.serialize_value(Value::Map(sections))
     }
 }
 
 impl<'de> Deserialize<'de> for RegistrySnapshot {
     fn deserialize<D: Deserializer<'de>>(deserializer: D) -> Result<Self, D::Error> {
-        let entries = expect_map(deserializer.deserialize_value()?).map_err(D::Error::custom)?;
         let mut snap = RegistrySnapshot::default();
-        for (key, value) in entries {
-            let section = expect_map(value).map_err(D::Error::custom)?;
-            match key.as_str() {
-                "counters" => {
-                    for (name, v) in section {
-                        snap.counters.push((name, from_value(v).map_err(D::Error::custom)?));
-                    }
-                }
-                "gauges" => {
-                    for (name, v) in section {
-                        snap.gauges.push((name, from_value(v).map_err(D::Error::custom)?));
-                    }
-                }
-                "histograms" => {
-                    for (name, v) in section {
-                        snap.histograms.push((name, from_value(v).map_err(D::Error::custom)?));
-                    }
-                }
-                "windows" => {
-                    for (name, v) in section {
-                        snap.windows.push((name, from_value(v).map_err(D::Error::custom)?));
-                    }
-                }
-                "window_histograms" => {
-                    for (name, v) in section {
-                        snap.window_histograms
-                            .push((name, from_value(v).map_err(D::Error::custom)?));
-                    }
-                }
-                other => {
-                    return Err(D::Error::custom(format!("unknown registry section `{other}`")))
-                }
-            }
+        for (key, section) in
+            unnamed(deserializer.deserialize_value()?).map_err(D::Error::custom)?
+        {
+            let parsed = match key.as_str() {
+                "counters" => unnamed(section).map(|s| snap.counters = s),
+                "gauges" => unnamed(section).map(|s| snap.gauges = s),
+                "histograms" => unnamed(section).map(|s| snap.histograms = s),
+                "windows" => unnamed(section).map(|s| snap.windows = s),
+                "window_histograms" => unnamed(section).map(|s| snap.window_histograms = s),
+                other => Err(ValueError(format!("unknown registry section `{other}`"))),
+            };
+            parsed.map_err(D::Error::custom)?;
         }
         Ok(snap)
     }
 }
 
-fn uint_value(v: u64) -> Value {
-    match i64::try_from(v) {
-        Ok(i) => Value::Int(i),
-        Err(_) => Value::UInt(v),
-    }
+/// A name-keyed section as a map from each name to its value.
+fn named<T: Serialize>(entries: &[(String, T)]) -> Result<Value, ValueError> {
+    let entries = entries.iter().map(|(name, v)| Ok((name.clone(), to_value(v)?)));
+    entries.collect::<Result<_, _>>().map(Value::Map)
 }
 
-fn expect_map(v: Value) -> Result<Vec<(String, Value)>, String> {
-    match v {
-        Value::Map(entries) => Ok(entries),
-        other => Err(format!("expected map, got {}", other.kind())),
+/// A map back into its `(name, value)` entries.
+fn unnamed<T: for<'a> Deserialize<'a>>(map: Value) -> Result<Vec<(String, T)>, ValueError> {
+    match map {
+        Value::Map(entries) => {
+            entries.into_iter().map(|(name, v)| Ok((name, from_value(v)?))).collect()
+        }
+        other => Err(ValueError(format!("expected map, got {}", other.kind()))),
     }
 }
 

@@ -124,6 +124,11 @@ impl Slot {
 
 /// Sliding-window rates for one counter, shortest horizon first.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
+#[cfg_attr(
+    feature = "serde",
+    derive(serde::Serialize, serde::Deserialize),
+    serde(default, deny_unknown_fields)
+)]
 pub struct WindowRates {
     /// Events per second over the last 10 seconds.
     pub rate_10s: f64,
@@ -272,6 +277,11 @@ impl HistSlot {
 
 /// Percentile summary of one histogram over one window.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
+#[cfg_attr(
+    feature = "serde",
+    derive(serde::Serialize, serde::Deserialize),
+    serde(default, deny_unknown_fields)
+)]
 pub struct WindowStats {
     /// Samples recorded inside the window.
     pub count: u64,
@@ -287,12 +297,20 @@ pub struct WindowStats {
 
 /// All three windowed summaries of one histogram.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
+#[cfg_attr(
+    feature = "serde",
+    derive(serde::Serialize, serde::Deserialize),
+    serde(default, deny_unknown_fields)
+)]
 pub struct WindowedHistogramSnapshot {
     /// Last 10 seconds.
+    #[cfg_attr(feature = "serde", serde(rename = "10s"))]
     pub w10s: WindowStats,
     /// Last minute.
+    #[cfg_attr(feature = "serde", serde(rename = "1m"))]
     pub w1m: WindowStats,
     /// Last five minutes.
+    #[cfg_attr(feature = "serde", serde(rename = "5m"))]
     pub w5m: WindowStats,
 }
 

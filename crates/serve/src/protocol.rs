@@ -6,14 +6,16 @@
 //! either a payload (on `"status": "ok"`) or a typed error (on
 //! `"status": "error"`). See `DESIGN.md` §8 for example frames.
 //!
-//! ## Encoding notes
+//! ## Encoding
 //!
-//! Optional request fields may simply be omitted — the hand-written
-//! [`Deserialize`] impls treat a missing field and an explicit `null`
-//! identically (the vendored serde derive requires every field to be
-//! present, which is wrong for a hand-typed wire format). Unknown
-//! request fields are rejected so typos fail loudly instead of being
-//! silently ignored. Responses likewise omit absent payloads.
+//! Every frame type derives its codec; the `serde(...)` attributes keep
+//! upstream serde's spelling. A request or response leaves an absent
+//! optional field out (`skip_serializing_if`), and a missing `Option`
+//! field reads as `None`, like an explicit `null`. Requests and deltas
+//! refuse unknown fields (`deny_unknown_fields`), so a typo, or a field
+//! this build no longer speaks, fails loudly instead of being silently
+//! ignored. Responses ignore unknown fields, so a client reads a newer
+//! server's replies. The session verbs need protocol v2+.
 
 use atsched_core::delta::JobDelta;
 use atsched_core::instance::{Instance, Job};
@@ -21,9 +23,6 @@ use atsched_core::schedule::Schedule;
 use atsched_core::solver::LpStrategy;
 use atsched_engine::{EngineTotals, Percentiles};
 use atsched_obs::RegistrySnapshot;
-use serde::de::{from_value, Deserializer};
-use serde::ser::{to_value, Serializer};
-use serde::value::Value;
 use serde::{Deserialize, Serialize};
 
 /// The protocol version this build speaks.
@@ -35,13 +34,17 @@ use serde::{Deserialize, Serialize};
 ///   `version` / `session` / `delta` request fields. Responses gain
 ///   `version` and `session` echoes (v1 clients ignore unknown response
 ///   fields by construction, so these are always safe to send).
+/// - **3** — one `lp` request field (`certified` | `exact` | `float`,
+///   spelled like [`LpStrategy`]) replaces protocol 2's three LP fields.
+///   A frame that still names one of them is refused as an unknown
+///   field, with no mapping.
 ///
 /// Servers answer requests declaring a *newer* version than they speak
 /// with a typed [`kind::UNSUPPORTED_VERSION`] error; session verbs
-/// require the client to declare `version ≥ 2` so that a v2 frame
+/// require the client to declare `version ≥ 2` so that a session frame
 /// mis-delivered to a v1 deployment fails loudly on the field name
 /// rather than on a missing capability.
-pub const PROTOCOL_VERSION: u32 = 2;
+pub const PROTOCOL_VERSION: u32 = 3;
 
 /// Request verbs.
 pub mod verb {
@@ -98,13 +101,17 @@ pub mod kind {
 /// delta never matters (duplicate references are rejected
 /// server-side). Added jobs are appended after the survivors in list
 /// order.
-#[derive(Debug, Clone, PartialEq, Default)]
+#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[serde(default, deny_unknown_fields)]
 pub struct DeltaSpec {
     /// Jobs to append.
+    #[serde(skip_serializing_if = "Vec::is_empty")]
     pub add: Vec<Job>,
     /// Pre-amend ids of jobs to remove.
+    #[serde(skip_serializing_if = "Vec::is_empty")]
     pub remove: Vec<u64>,
     /// Window changes, by pre-amend id.
+    #[serde(skip_serializing_if = "Vec::is_empty")]
     pub modify: Vec<WindowChange>,
 }
 
@@ -169,46 +176,52 @@ impl DeltaSpec {
 ///
 /// Only `verb` is mandatory; everything else is verb-specific and
 /// optional on the wire (server-side defaults apply).
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[serde(deny_unknown_fields)]
 pub struct Request {
     /// Client-chosen correlation id, echoed verbatim in the response.
+    #[serde(skip_serializing_if = "Option::is_none")]
     pub id: Option<u64>,
     /// One of the [`verb`] constants.
     pub verb: String,
     /// The instance to solve (`solve`).
+    #[serde(skip_serializing_if = "Option::is_none")]
     pub instance: Option<Instance>,
     /// The instances to solve (`batch`).
+    #[serde(skip_serializing_if = "Option::is_none")]
     pub instances: Option<Vec<Instance>>,
     /// Solving path: `auto` | `nested` | `general` | `greedy` (default `auto`).
+    #[serde(skip_serializing_if = "Option::is_none")]
     pub method: Option<String>,
-    /// LP backend: `exact` | `float` (default `exact`; `snap` is a
-    /// deprecated alias of `exact`). With `precision` and `lp_path`
-    /// this selects the LP strategy; see [`Request::with_lp`].
-    pub backend: Option<String>,
-    /// `hybrid` | `exact` (default `hybrid`; `f64-unchecked` is a
-    /// deprecated alias of `hybrid`). `exact` asks for the exact
-    /// simplex reference.
-    pub precision: Option<String>,
-    /// `auto` | `simplex` (default `auto`; both certified). `tree` is
-    /// refused.
-    pub lp_path: Option<String>,
+    /// LP strategy: `certified` | `exact` | `float` (default
+    /// `certified`), spelled like [`LpStrategy`]; see [`Request::with_lp`].
+    #[serde(skip_serializing_if = "Option::is_none")]
+    pub lp: Option<String>,
     /// Enable the slot-closing post-optimization (default false).
+    #[serde(skip_serializing_if = "Option::is_none")]
     pub polish: Option<bool>,
     /// Seed for the general path's shuffled candidate.
+    #[serde(skip_serializing_if = "Option::is_none")]
     pub seed: Option<u64>,
     /// Root-decomposition policy: `auto` | `off` | `force` (default `auto`).
+    #[serde(skip_serializing_if = "Option::is_none")]
     pub shard: Option<String>,
     /// Per-request wall-clock deadline in milliseconds (overrides the
     /// server default).
+    #[serde(skip_serializing_if = "Option::is_none")]
     pub timeout_ms: Option<u64>,
     /// Return the full schedule in the reply, not just its summary.
+    #[serde(skip_serializing_if = "Option::is_none")]
     pub include_schedule: Option<bool>,
     /// Protocol version the client speaks; absent means 1. Required
     /// (≥ 2) for the session verbs.
+    #[serde(skip_serializing_if = "Option::is_none")]
     pub version: Option<u32>,
     /// Session id for `amend` / `close`.
+    #[serde(skip_serializing_if = "Option::is_none")]
     pub session: Option<u64>,
     /// Instance amendment for `amend`.
+    #[serde(skip_serializing_if = "Option::is_none")]
     pub delta: Option<DeltaSpec>,
 }
 
@@ -221,9 +234,7 @@ impl Request {
             instance: None,
             instances: None,
             method: None,
-            backend: None,
-            precision: None,
-            lp_path: None,
+            lp: None,
             polish: None,
             seed: None,
             shard: None,
@@ -308,17 +319,9 @@ impl Request {
         self
     }
 
-    /// Pick the LP strategy, spelled in the wire's `backend` /
-    /// `precision` fields: `exact` is `precision: "exact"`, `float` is
-    /// `backend: "float"`, and `certified` (the server default) is
-    /// neither.
+    /// Pick the LP strategy (the `lp` field).
     pub fn with_lp(mut self, lp: LpStrategy) -> Request {
-        let (backend, precision) = match lp {
-            LpStrategy::Certified => (None, None),
-            LpStrategy::Exact => (None, Some("exact".to_string())),
-            LpStrategy::Float => (Some("float".to_string()), None),
-        };
-        (self.backend, self.precision, self.lp_path) = (backend, precision, None);
+        self.lp = Some(lp.label().to_string());
         self
     }
 
@@ -367,7 +370,7 @@ impl Request {
 }
 
 /// Payload of a successful `solve`.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct SolveReply {
     /// Active slots of the verified schedule.
     pub active_slots: u64,
@@ -384,7 +387,7 @@ pub struct SolveReply {
 }
 
 /// One instance's outcome inside a `batch` reply.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct BatchItemReply {
     /// Position in the request's `instances` array.
     pub index: u64,
@@ -399,7 +402,7 @@ pub struct BatchItemReply {
 }
 
 /// Payload of a successful `batch`.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct BatchReply {
     /// Per-instance outcomes, in input order.
     pub items: Vec<BatchItemReply>,
@@ -448,7 +451,7 @@ pub struct SlowRequest {
 
 /// Payload of a successful `stats` (and of the `shutdown` ack, as the
 /// final post-drain snapshot).
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct StatsReply {
     /// Time since the server started, milliseconds.
     pub uptime_ms: f64,
@@ -510,33 +513,43 @@ pub struct ErrorInfo {
 }
 
 /// A response frame: `id` echo, `status`, and one payload at most.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Response {
-    /// The request's correlation id (absent when the request was too
-    /// malformed to recover one).
+    /// The request's correlation id (`null` when the request was too
+    /// malformed to recover one). Always written, so clients can
+    /// correlate even rejections of unparseable frames.
     pub id: Option<u64>,
     /// `"ok"` or `"error"`.
     pub status: String,
     /// The request verb, echoed for log readability.
+    #[serde(skip_serializing_if = "Option::is_none")]
     pub verb: Option<String>,
     /// Error payload (`status == "error"`).
+    #[serde(skip_serializing_if = "Option::is_none")]
     pub error: Option<ErrorInfo>,
     /// `solve` payload.
+    #[serde(skip_serializing_if = "Option::is_none")]
     pub solve: Option<SolveReply>,
     /// `batch` payload.
+    #[serde(skip_serializing_if = "Option::is_none")]
     pub batch: Option<BatchReply>,
     /// `stats` / `shutdown` payload.
+    #[serde(skip_serializing_if = "Option::is_none")]
     pub stats: Option<StatsReply>,
     /// `metrics` payload: Prometheus-style text exposition of the
     /// metric registry.
+    #[serde(skip_serializing_if = "Option::is_none")]
     pub metrics: Option<String>,
     /// Protocol version the server spoke for this exchange (v2+
     /// servers always set it; v1 clients ignore it).
+    #[serde(skip_serializing_if = "Option::is_none")]
     pub version: Option<u32>,
     /// Session id echo for `open` / `amend` / `close` exchanges.
+    #[serde(skip_serializing_if = "Option::is_none")]
     pub session: Option<u64>,
     /// Server-assigned request id for admitted work — the handle that
     /// correlates a reply with its entry in the slow-request log.
+    #[serde(skip_serializing_if = "Option::is_none")]
     pub request: Option<u64>,
 }
 
@@ -625,201 +638,228 @@ impl Response {
     }
 }
 
-// ---------------------------------------------------------------------
-// Hand-written (de)serialization: omitted field == null, compact frames.
-// ---------------------------------------------------------------------
-
-fn take_field(entries: &mut Vec<(String, Value)>, name: &str) -> Option<Value> {
-    entries.iter().position(|(k, _)| k == name).map(|i| entries.remove(i).1)
-}
-
-fn opt_field<T, E>(entries: &mut Vec<(String, Value)>, name: &str) -> Result<Option<T>, E>
-where
-    T: for<'a> Deserialize<'a>,
-    E: serde::de::Error,
-{
-    match take_field(entries, name) {
-        None | Some(Value::Null) => Ok(None),
-        Some(v) => from_value(v).map(Some).map_err(|e| E::custom(format!("field `{name}`: {e}"))),
-    }
-}
-
-fn push_field<T: Serialize, E: serde::ser::Error>(
-    entries: &mut Vec<(String, Value)>,
-    name: &str,
-    value: &T,
-) -> Result<(), E> {
-    entries.push((name.to_string(), to_value(value).map_err(E::custom)?));
-    Ok(())
-}
-
-fn push_opt<T: Serialize, E: serde::ser::Error>(
-    entries: &mut Vec<(String, Value)>,
-    name: &str,
-    value: &Option<T>,
-) -> Result<(), E> {
-    if let Some(v) = value {
-        push_field(entries, name, v)?;
-    }
-    Ok(())
-}
-
-impl Serialize for Request {
-    fn serialize<S: Serializer>(&self, serializer: S) -> Result<S::Ok, S::Error> {
-        let mut m = Vec::new();
-        push_opt(&mut m, "id", &self.id)?;
-        push_field(&mut m, "verb", &self.verb)?;
-        push_opt(&mut m, "instance", &self.instance)?;
-        push_opt(&mut m, "instances", &self.instances)?;
-        push_opt(&mut m, "method", &self.method)?;
-        push_opt(&mut m, "backend", &self.backend)?;
-        push_opt(&mut m, "precision", &self.precision)?;
-        push_opt(&mut m, "lp_path", &self.lp_path)?;
-        push_opt(&mut m, "polish", &self.polish)?;
-        push_opt(&mut m, "seed", &self.seed)?;
-        push_opt(&mut m, "shard", &self.shard)?;
-        push_opt(&mut m, "timeout_ms", &self.timeout_ms)?;
-        push_opt(&mut m, "include_schedule", &self.include_schedule)?;
-        push_opt(&mut m, "version", &self.version)?;
-        push_opt(&mut m, "session", &self.session)?;
-        push_opt(&mut m, "delta", &self.delta)?;
-        serializer.serialize_value(Value::Map(m))
-    }
-}
-
-impl<'de> Deserialize<'de> for Request {
-    fn deserialize<D: Deserializer<'de>>(deserializer: D) -> Result<Self, D::Error> {
-        let mut entries = match deserializer.deserialize_value()? {
-            Value::Map(m) => m,
-            other => {
-                return Err(serde::de::Error::custom(format!(
-                    "expected a request object, got {}",
-                    other.kind()
-                )))
-            }
-        };
-        let req = Request {
-            id: opt_field(&mut entries, "id")?,
-            verb: opt_field::<String, D::Error>(&mut entries, "verb")?
-                .ok_or_else(|| serde::de::Error::custom("missing field `verb`"))?,
-            instance: opt_field(&mut entries, "instance")?,
-            instances: opt_field(&mut entries, "instances")?,
-            method: opt_field(&mut entries, "method")?,
-            backend: opt_field(&mut entries, "backend")?,
-            precision: opt_field(&mut entries, "precision")?,
-            lp_path: opt_field(&mut entries, "lp_path")?,
-            polish: opt_field(&mut entries, "polish")?,
-            seed: opt_field(&mut entries, "seed")?,
-            shard: opt_field(&mut entries, "shard")?,
-            timeout_ms: opt_field(&mut entries, "timeout_ms")?,
-            include_schedule: opt_field(&mut entries, "include_schedule")?,
-            version: opt_field(&mut entries, "version")?,
-            session: opt_field(&mut entries, "session")?,
-            delta: opt_field(&mut entries, "delta")?,
-        };
-        if let Some((key, _)) = entries.first() {
-            return Err(serde::de::Error::custom(format!("unknown field `{key}`")));
-        }
-        Ok(req)
-    }
-}
-
-impl Serialize for Response {
-    fn serialize<S: Serializer>(&self, serializer: S) -> Result<S::Ok, S::Error> {
-        let mut m = Vec::new();
-        // `id` is always present (null when unknown) so clients can
-        // correlate even rejections of unparseable frames.
-        push_field(&mut m, "id", &self.id)?;
-        push_field(&mut m, "status", &self.status)?;
-        push_opt(&mut m, "verb", &self.verb)?;
-        push_opt(&mut m, "error", &self.error)?;
-        push_opt(&mut m, "solve", &self.solve)?;
-        push_opt(&mut m, "batch", &self.batch)?;
-        push_opt(&mut m, "stats", &self.stats)?;
-        push_opt(&mut m, "metrics", &self.metrics)?;
-        push_opt(&mut m, "version", &self.version)?;
-        push_opt(&mut m, "session", &self.session)?;
-        push_opt(&mut m, "request", &self.request)?;
-        serializer.serialize_value(Value::Map(m))
-    }
-}
-
-impl<'de> Deserialize<'de> for Response {
-    fn deserialize<D: Deserializer<'de>>(deserializer: D) -> Result<Self, D::Error> {
-        let mut entries = match deserializer.deserialize_value()? {
-            Value::Map(m) => m,
-            other => {
-                return Err(serde::de::Error::custom(format!(
-                    "expected a response object, got {}",
-                    other.kind()
-                )))
-            }
-        };
-        Ok(Response {
-            id: opt_field(&mut entries, "id")?,
-            status: opt_field::<String, D::Error>(&mut entries, "status")?
-                .ok_or_else(|| serde::de::Error::custom("missing field `status`"))?,
-            verb: opt_field(&mut entries, "verb")?,
-            error: opt_field(&mut entries, "error")?,
-            solve: opt_field(&mut entries, "solve")?,
-            batch: opt_field(&mut entries, "batch")?,
-            stats: opt_field(&mut entries, "stats")?,
-            metrics: opt_field(&mut entries, "metrics")?,
-            version: opt_field(&mut entries, "version")?,
-            session: opt_field(&mut entries, "session")?,
-            request: opt_field(&mut entries, "request")?,
-        })
-    }
-}
-
-impl Serialize for DeltaSpec {
-    fn serialize<S: Serializer>(&self, serializer: S) -> Result<S::Ok, S::Error> {
-        let mut m = Vec::new();
-        if !self.add.is_empty() {
-            push_field(&mut m, "add", &self.add)?;
-        }
-        if !self.remove.is_empty() {
-            push_field(&mut m, "remove", &self.remove)?;
-        }
-        if !self.modify.is_empty() {
-            push_field(&mut m, "modify", &self.modify)?;
-        }
-        serializer.serialize_value(Value::Map(m))
-    }
-}
-
-impl<'de> Deserialize<'de> for DeltaSpec {
-    fn deserialize<D: Deserializer<'de>>(deserializer: D) -> Result<Self, D::Error> {
-        let mut entries = match deserializer.deserialize_value()? {
-            Value::Map(m) => m,
-            other => {
-                return Err(serde::de::Error::custom(format!(
-                    "expected a delta object, got {}",
-                    other.kind()
-                )))
-            }
-        };
-        let spec = DeltaSpec {
-            add: opt_field(&mut entries, "add")?.unwrap_or_default(),
-            remove: opt_field(&mut entries, "remove")?.unwrap_or_default(),
-            modify: opt_field(&mut entries, "modify")?.unwrap_or_default(),
-        };
-        // Same loudness contract as Request: a typo'd op list must not
-        // silently no-op.
-        if let Some((key, _)) = entries.first() {
-            return Err(serde::de::Error::custom(format!("unknown delta field `{key}`")));
-        }
-        Ok(spec)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use atsched_core::instance::Job;
+    use atsched_obs::{HistogramSnapshot, WindowRates, WindowStats, WindowedHistogramSnapshot};
 
     fn inst() -> Instance {
         Instance::new(2, vec![Job::new(0, 4, 2), Job::new(1, 3, 1)]).unwrap()
+    }
+
+    /// Every `Request` constructor, bare and with `with_id`,
+    /// `with_schedule` and `with_shard`, plus one frame that sets every
+    /// other builder field except the LP strategy.
+    fn golden_requests() -> Vec<Request> {
+        let inst = inst();
+        let delta = DeltaSpec::new().add(Job::new(1, 3, 1)).remove(0).modify_window(1, 0, 4);
+        let bare = vec![
+            Request::new("bogus"),
+            Request::solve(&inst),
+            Request::batch(&[inst.clone(), inst.clone()]),
+            Request::stats(),
+            Request::health(),
+            Request::metrics(),
+            Request::shutdown(),
+            Request::open(&inst),
+            Request::amend(42, &delta),
+            Request::amend(42, &DeltaSpec::new().remove(1)),
+            Request::close(42),
+        ];
+        let mut all = bare.clone();
+        all.extend(bare.into_iter().map(|r| r.with_id(7).with_schedule().with_shard("force")));
+        all.push(
+            Request::solve(&inst)
+                .with_id(3)
+                .with_method("general")
+                .with_polish(true)
+                .with_seed(11)
+                .with_timeout_ms(500)
+                .with_version(1)
+                .with_session(5),
+        );
+        all
+    }
+
+    /// Every `Response` constructor, with `with_version`,
+    /// `with_session` and `with_request`; the stats payload holds one
+    /// registry instrument of each kind, windowed ones included.
+    fn golden_responses() -> Vec<Response> {
+        let solve = SolveReply {
+            active_slots: 4,
+            method: "nested".into(),
+            certified_ratio: Some(1.25),
+            cached: false,
+            elapsed_ms: 1.5,
+            schedule: Some(Schedule { slots: vec![0, 1], assignment: vec![vec![0], vec![0, 1]] }),
+        };
+        let bare_solve =
+            SolveReply { certified_ratio: None, cached: true, schedule: None, ..solve.clone() };
+        let batch = BatchReply {
+            items: vec![
+                BatchItemReply {
+                    index: 0,
+                    outcome: "solved".into(),
+                    active_slots: Some(3),
+                    cached: Some(false),
+                    message: None,
+                },
+                BatchItemReply {
+                    index: 1,
+                    outcome: "failed".into(),
+                    active_slots: None,
+                    cached: None,
+                    message: Some("boom".into()),
+                },
+            ],
+            total: 2,
+            solved: 1,
+            infeasible: 0,
+            timed_out: 0,
+            failed: 1,
+            wall_clock_ms: 2.25,
+            cache_hits: 0,
+            cache_misses: 2,
+        };
+        let window = |count, rate| WindowStats { count, rate, p50: 1.0, p95: 2.0, p99: 4.0 };
+        let stats = StatsReply {
+            uptime_ms: 1000.5,
+            received: 9,
+            bad_requests: 1,
+            accepted: 7,
+            rejected_overload: 1,
+            rejected_shutdown: 0,
+            completed: 6,
+            solve_errors: 1,
+            timed_out: 1,
+            inflight: 1,
+            queue_len: 0,
+            queue_capacity: 64,
+            cache_hits: 2,
+            cache_misses: 4,
+            cache_hit_rate: 0.5,
+            cache_entries: 4,
+            sessions_open: 1,
+            slow: vec![
+                SlowRequest {
+                    request: 12,
+                    verb: "amend".into(),
+                    total_ms: 88.5,
+                    error: Some(kind::TIMED_OUT.into()),
+                    stages: vec![StageTiming { stage: "lp".into(), ms: 80.0 }],
+                },
+                SlowRequest {
+                    request: 13,
+                    verb: "solve".into(),
+                    total_ms: 0.25,
+                    error: None,
+                    stages: Vec::new(),
+                },
+            ],
+            engine: EngineTotals { solved: 3, infeasible: 1, timed_out: 1, failed: 0 },
+            latency_ms: Percentiles { p50: 0.5, p95: 2.0, max: 4.0 },
+            registry: RegistrySnapshot {
+                counters: vec![("serve.accepted".into(), 7)],
+                gauges: vec![("serve.inflight".into(), -1)],
+                histograms: vec![(
+                    "span.lp.ms".into(),
+                    HistogramSnapshot {
+                        count: 2,
+                        sum: 3.5,
+                        min: 1.0,
+                        max: 2.5,
+                        p50: 1.0,
+                        p95: 2.5,
+                        p99: 2.5,
+                    },
+                )],
+                windows: vec![(
+                    "serve.received".into(),
+                    WindowRates { rate_10s: 0.5, rate_1m: 0.25, rate_5m: 0.125 },
+                )],
+                window_histograms: vec![(
+                    "serve.latency_ms".into(),
+                    WindowedHistogramSnapshot {
+                        w10s: window(1, 0.1),
+                        w1m: window(3, 0.05),
+                        w5m: window(6, 0.02),
+                    },
+                )],
+            },
+        };
+        vec![
+            Response::ok(Some(1), verb::HEALTH),
+            Response::ok(None, verb::HEALTH),
+            Response::ok_solve(Some(2), solve.clone()),
+            Response::ok_solve(None, bare_solve).with_request(17),
+            Response::ok_batch(Some(3), batch).with_request(18),
+            Response::ok_stats(Some(4), verb::STATS, stats),
+            Response::ok_stats(None, verb::SHUTDOWN, StatsReply::default()),
+            Response::ok_metrics(Some(5), "atsched_serve_received 2\n".into()),
+            Response::error(Some(6), Some(verb::SOLVE), kind::OVERLOADED, "queue full".into()),
+            Response::error(None, None, kind::BAD_REQUEST, "expected a JSON value".into()),
+            Response::ok_solve(Some(7), solve)
+                .with_version(PROTOCOL_VERSION)
+                .with_session(9)
+                .with_request(19),
+            Response::ok(Some(8), verb::CLOSE).with_version(PROTOCOL_VERSION).with_session(9),
+            Response::error(Some(9), Some(verb::AMEND), kind::UNKNOWN_SESSION, "gone".into())
+                .with_version(PROTOCOL_VERSION)
+                .with_session(9),
+        ]
+    }
+
+    /// [`golden_requests`] as protocol 2's hand-written codec wrote
+    /// them, byte for byte.
+    const GOLDEN_REQUESTS: [&str; 23] = [
+        r#"{"verb":"bogus"}"#,
+        r#"{"verb":"solve","instance":{"g":2,"jobs":[{"release":0,"deadline":4,"processing":2},{"release":1,"deadline":3,"processing":1}]}}"#,
+        r#"{"verb":"batch","instances":[{"g":2,"jobs":[{"release":0,"deadline":4,"processing":2},{"release":1,"deadline":3,"processing":1}]},{"g":2,"jobs":[{"release":0,"deadline":4,"processing":2},{"release":1,"deadline":3,"processing":1}]}]}"#,
+        r#"{"verb":"stats"}"#,
+        r#"{"verb":"health"}"#,
+        r#"{"verb":"metrics"}"#,
+        r#"{"verb":"shutdown"}"#,
+        r#"{"verb":"open","instance":{"g":2,"jobs":[{"release":0,"deadline":4,"processing":2},{"release":1,"deadline":3,"processing":1}]},"version":2}"#,
+        r#"{"verb":"amend","version":2,"session":42,"delta":{"add":[{"release":1,"deadline":3,"processing":1}],"remove":[0],"modify":[{"job":1,"release":0,"deadline":4}]}}"#,
+        r#"{"verb":"amend","version":2,"session":42,"delta":{"remove":[1]}}"#,
+        r#"{"verb":"close","version":2,"session":42}"#,
+        r#"{"id":7,"verb":"bogus","shard":"force","include_schedule":true}"#,
+        r#"{"id":7,"verb":"solve","instance":{"g":2,"jobs":[{"release":0,"deadline":4,"processing":2},{"release":1,"deadline":3,"processing":1}]},"shard":"force","include_schedule":true}"#,
+        r#"{"id":7,"verb":"batch","instances":[{"g":2,"jobs":[{"release":0,"deadline":4,"processing":2},{"release":1,"deadline":3,"processing":1}]},{"g":2,"jobs":[{"release":0,"deadline":4,"processing":2},{"release":1,"deadline":3,"processing":1}]}],"shard":"force","include_schedule":true}"#,
+        r#"{"id":7,"verb":"stats","shard":"force","include_schedule":true}"#,
+        r#"{"id":7,"verb":"health","shard":"force","include_schedule":true}"#,
+        r#"{"id":7,"verb":"metrics","shard":"force","include_schedule":true}"#,
+        r#"{"id":7,"verb":"shutdown","shard":"force","include_schedule":true}"#,
+        r#"{"id":7,"verb":"open","instance":{"g":2,"jobs":[{"release":0,"deadline":4,"processing":2},{"release":1,"deadline":3,"processing":1}]},"shard":"force","include_schedule":true,"version":2}"#,
+        r#"{"id":7,"verb":"amend","shard":"force","include_schedule":true,"version":2,"session":42,"delta":{"add":[{"release":1,"deadline":3,"processing":1}],"remove":[0],"modify":[{"job":1,"release":0,"deadline":4}]}}"#,
+        r#"{"id":7,"verb":"amend","shard":"force","include_schedule":true,"version":2,"session":42,"delta":{"remove":[1]}}"#,
+        r#"{"id":7,"verb":"close","shard":"force","include_schedule":true,"version":2,"session":42}"#,
+        r#"{"id":3,"verb":"solve","instance":{"g":2,"jobs":[{"release":0,"deadline":4,"processing":2},{"release":1,"deadline":3,"processing":1}]},"method":"general","polish":true,"seed":11,"timeout_ms":500,"version":1,"session":5}"#,
+    ];
+
+    /// [`golden_responses`] as protocol 2's hand-written codec wrote
+    /// them, byte for byte.
+    const GOLDEN_RESPONSES: [&str; 13] = [
+        r#"{"id":1,"status":"ok","verb":"health"}"#,
+        r#"{"id":null,"status":"ok","verb":"health"}"#,
+        r#"{"id":2,"status":"ok","verb":"solve","solve":{"active_slots":4,"method":"nested","certified_ratio":1.25,"cached":false,"elapsed_ms":1.5,"schedule":{"slots":[0,1],"assignment":[[0],[0,1]]}}}"#,
+        r#"{"id":null,"status":"ok","verb":"solve","solve":{"active_slots":4,"method":"nested","certified_ratio":null,"cached":true,"elapsed_ms":1.5,"schedule":null},"request":17}"#,
+        r#"{"id":3,"status":"ok","verb":"batch","batch":{"items":[{"index":0,"outcome":"solved","active_slots":3,"cached":false,"message":null},{"index":1,"outcome":"failed","active_slots":null,"cached":null,"message":"boom"}],"total":2,"solved":1,"infeasible":0,"timed_out":0,"failed":1,"wall_clock_ms":2.25,"cache_hits":0,"cache_misses":2},"request":18}"#,
+        r#"{"id":4,"status":"ok","verb":"stats","stats":{"uptime_ms":1000.5,"received":9,"bad_requests":1,"accepted":7,"rejected_overload":1,"rejected_shutdown":0,"completed":6,"solve_errors":1,"timed_out":1,"inflight":1,"queue_len":0,"queue_capacity":64,"cache_hits":2,"cache_misses":4,"cache_hit_rate":0.5,"cache_entries":4,"sessions_open":1,"slow":[{"request":12,"verb":"amend","total_ms":88.5,"error":"timed_out","stages":[{"stage":"lp","ms":80.0}]},{"request":13,"verb":"solve","total_ms":0.25,"error":null,"stages":[]}],"engine":{"solved":3,"infeasible":1,"timed_out":1,"failed":0},"latency_ms":{"p50":0.5,"p95":2.0,"max":4.0},"registry":{"counters":{"serve.accepted":7},"gauges":{"serve.inflight":-1},"histograms":{"span.lp.ms":{"count":2,"sum":3.5,"min":1.0,"max":2.5,"p50":1.0,"p95":2.5,"p99":2.5}},"windows":{"serve.received":{"rate_10s":0.5,"rate_1m":0.25,"rate_5m":0.125}},"window_histograms":{"serve.latency_ms":{"10s":{"count":1,"rate":0.1,"p50":1.0,"p95":2.0,"p99":4.0},"1m":{"count":3,"rate":0.05,"p50":1.0,"p95":2.0,"p99":4.0},"5m":{"count":6,"rate":0.02,"p50":1.0,"p95":2.0,"p99":4.0}}}}}}"#,
+        r#"{"id":null,"status":"ok","verb":"shutdown","stats":{"uptime_ms":0.0,"received":0,"bad_requests":0,"accepted":0,"rejected_overload":0,"rejected_shutdown":0,"completed":0,"solve_errors":0,"timed_out":0,"inflight":0,"queue_len":0,"queue_capacity":0,"cache_hits":0,"cache_misses":0,"cache_hit_rate":0.0,"cache_entries":0,"sessions_open":0,"slow":[],"engine":{"solved":0,"infeasible":0,"timed_out":0,"failed":0},"latency_ms":{"p50":0.0,"p95":0.0,"max":0.0},"registry":{"counters":{},"gauges":{},"histograms":{},"windows":{},"window_histograms":{}}}}"#,
+        r#"{"id":5,"status":"ok","verb":"metrics","metrics":"atsched_serve_received 2\n"}"#,
+        r#"{"id":6,"status":"error","verb":"solve","error":{"kind":"overloaded","message":"queue full"}}"#,
+        r#"{"id":null,"status":"error","error":{"kind":"bad_request","message":"expected a JSON value"}}"#,
+        r#"{"id":7,"status":"ok","verb":"solve","solve":{"active_slots":4,"method":"nested","certified_ratio":1.25,"cached":false,"elapsed_ms":1.5,"schedule":{"slots":[0,1],"assignment":[[0],[0,1]]}},"version":2,"session":9,"request":19}"#,
+        r#"{"id":8,"status":"ok","verb":"close","version":2,"session":9}"#,
+        r#"{"id":9,"status":"error","verb":"amend","error":{"kind":"unknown_session","message":"gone"},"version":2,"session":9}"#,
+    ];
+
+    /// A protocol-2 golden line as this build writes it: the one change
+    /// is the version the session constructors declare.
+    fn current(golden: &str) -> String {
+        golden.replace("\"version\":2", &format!("\"version\":{PROTOCOL_VERSION}"))
     }
 
     #[test]
@@ -835,6 +875,29 @@ mod tests {
         assert!(!line.contains("seed"), "absent fields are omitted: {line}");
         let back: Request = serde_json::from_str(&line).unwrap();
         assert_eq!(back, req);
+
+        let requests = golden_requests();
+        assert_eq!(requests.len(), GOLDEN_REQUESTS.len());
+        for (req, golden) in requests.into_iter().zip(GOLDEN_REQUESTS) {
+            let line = serde_json::to_string(&req).unwrap();
+            assert_eq!(line, current(golden));
+            assert_eq!(serde_json::from_str::<Request>(&line).unwrap(), req, "{line}");
+        }
+
+        // `lp` is the one change to the frame's fields: protocol 2
+        // spelled the strategy in two other fields, and wrote nothing
+        // for certified.
+        let instance = r#"{"g":2,"jobs":[{"release":0,"deadline":4,"processing":2},{"release":1,"deadline":3,"processing":1}]}"#;
+        for lp in [LpStrategy::Certified, LpStrategy::Exact, LpStrategy::Float] {
+            let req = Request::solve(&inst()).with_method("nested").with_lp(lp).with_polish(true);
+            let line = serde_json::to_string(&req).unwrap();
+            let label = lp.label();
+            let want = format!(
+                r#"{{"verb":"solve","instance":{instance},"method":"nested","lp":"{label}","polish":true}}"#
+            );
+            assert_eq!(line, want);
+            assert_eq!(serde_json::from_str::<Request>(&line).unwrap(), req);
+        }
     }
 
     #[test]
@@ -857,13 +920,29 @@ mod tests {
         assert!(serde_json::from_str::<Request>(r#"{"verb":"solve","bogus":1}"#).is_err());
         assert!(serde_json::from_str::<Request>(r#"{"id":1}"#).is_err());
         assert!(serde_json::from_str::<Request>(r#"[1,2]"#).is_err());
+
+        // Protocol 2's LP fields are unknown fields, and the error
+        // names the one that replaced them.
+        for legacy in ["backend", "precision", "lp_path"] {
+            let frame = format!(r#"{{"verb":"solve","{legacy}":"exact"}}"#);
+            let err = serde_json::from_str::<Request>(&frame).unwrap_err().to_string();
+            assert!(
+                err.starts_with(&format!("unknown field `{legacy}`, expected one of")),
+                "{err}"
+            );
+            assert!(err.contains("`lp`"), "{err}");
+        }
+        let err = serde_json::from_str::<Request>(r#"{"verb":"solve","verb":"stats"}"#)
+            .unwrap_err()
+            .to_string();
+        assert_eq!(err, "duplicate field `verb`");
     }
 
     #[test]
     fn v2_session_requests_round_trip() {
         let req = Request::open(&inst()).with_id(1).with_shard("force");
         let line = serde_json::to_string(&req).unwrap();
-        assert!(line.contains("\"version\":2"), "{line}");
+        assert!(line.contains(&format!("\"version\":{PROTOCOL_VERSION}")), "{line}");
         let back: Request = serde_json::from_str(&line).unwrap();
         assert_eq!(back, req);
 
@@ -937,6 +1016,19 @@ mod tests {
         let back: Response = serde_json::from_str(r#"{"id":1,"status":"ok"}"#).unwrap();
         assert_eq!(back.request, None);
         assert_eq!(back.metrics, None);
+
+        // A missing `Option` field inside a payload reads as `None`
+        // too, so a server may drop one without breaking this client.
+        let back: Response = serde_json::from_str(
+            r#"{"id":2,"status":"ok","solve":{"active_slots":4,"method":"nested","cached":false,"elapsed_ms":1.5}}"#,
+        )
+        .unwrap();
+        let solve = back.solve.unwrap();
+        assert_eq!((solve.certified_ratio, solve.schedule), (None, None));
+        let slow: SlowRequest =
+            serde_json::from_str(r#"{"request":12,"verb":"amend","total_ms":88.5,"stages":[]}"#)
+                .unwrap();
+        assert_eq!(slow.error, None);
     }
 
     #[test]
@@ -951,6 +1043,40 @@ mod tests {
         let line = serde_json::to_string(&slow).unwrap();
         let back: SlowRequest = serde_json::from_str(&line).unwrap();
         assert_eq!(back, slow);
+    }
+
+    /// Bytes a mutation inserts or writes: JSON structure, digits and
+    /// lowercase letters.
+    const MUTATION_BYTES: &[u8] = b"{}[]\":,-0123456789abcdefghijklmnopqrstuvwxyz";
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(4096))]
+
+        /// A golden request line (amends with deltas among them) after
+        /// 1-8 byte edits decodes and validates, or fails typed, but
+        /// never panics.
+        #[test]
+        fn mutated_request_frames_decode_and_validate_without_panicking(
+            frame in 0..GOLDEN_REQUESTS.len(),
+            edits in proptest::collection::vec((0u8..3, 0usize..4096, 0..MUTATION_BYTES.len()), 1..=8),
+        ) {
+            let mut line = current(GOLDEN_REQUESTS[frame]).into_bytes();
+            for (op, at, byte) in edits {
+                let (at, byte) = (at % (line.len() + 1), MUTATION_BYTES[byte]);
+                match op {
+                    0 => line.insert(at, byte),
+                    _ if at == line.len() => {}
+                    1 => {
+                        line.remove(at);
+                    }
+                    _ => line[at] = byte,
+                }
+            }
+            let line = String::from_utf8(line).expect("ASCII edits of an ASCII line");
+            if let Ok(req) = serde_json::from_str::<Request>(&line) {
+                let _ = crate::server::validate(&req, None);
+            }
+        }
     }
 
     #[test]
@@ -988,5 +1114,13 @@ mod tests {
         assert!(line.starts_with("{\"id\":null"), "{line}");
         let back: Response = serde_json::from_str(&line).unwrap();
         assert_eq!(back.error_kind(), Some(kind::OVERLOADED));
+
+        let responses = golden_responses();
+        assert_eq!(responses.len(), GOLDEN_RESPONSES.len());
+        for (resp, golden) in responses.into_iter().zip(GOLDEN_RESPONSES) {
+            let line = serde_json::to_string(&resp).unwrap();
+            assert_eq!(line, current(golden));
+            assert_eq!(serde_json::from_str::<Response>(&line).unwrap(), resp, "{line}");
+        }
     }
 }

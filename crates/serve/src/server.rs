@@ -31,7 +31,7 @@ use crate::service::{Msg, ServeLoop};
 use crate::shutdown::ShutdownGate;
 use crate::stats::ServerMetrics;
 use atsched_core::instance::Instance;
-use atsched_core::solver::{LpStrategy, SolverOptions};
+use atsched_core::solver::SolverOptions;
 use atsched_engine::{with_budget, Engine, EngineConfig, Interrupt, Outcome, SessionId};
 use atsched_net::{ConnId, Reactor, ReactorConfig, Remote};
 use atsched_obs::{Collector, EventLog, RequestEvent, RequestTrace};
@@ -524,40 +524,13 @@ pub(crate) fn check_version(req: &Request) -> Option<Response> {
     None
 }
 
-/// Map the wire's `backend` / `precision` / `lp_path` fields onto an
-/// [`LpStrategy`] (DESIGN §15.3). `precision=exact` asks for the exact
-/// reference and `backend=float` for the float LP; every other accepted
-/// value is certified. `snap` and `f64-unchecked` are deprecated
-/// aliases: a certified answer meets their contract, an exactly
-/// verified schedule. `lp_path=tree` ("fail unless the tree answers")
-/// and `backend=float` with either other field have no strategy.
-fn lp_strategy(req: &Request) -> Result<LpStrategy, String> {
-    let (precision, lp_path) = (req.precision.as_deref(), req.lp_path.as_deref());
-    match req.backend.as_deref() {
-        None | Some("exact" | "snap") => {}
-        Some("float") if precision.is_none() && lp_path.is_none() => return Ok(LpStrategy::Float),
-        Some("float") => return Err("backend=float takes no `precision` or `lp_path`".into()),
-        Some(other) => return Err(format!("unknown backend '{other}' (exact|float)")),
-    }
-    match lp_path {
-        None | Some("auto" | "simplex") => {}
-        Some("tree") => {
-            return Err("lp_path=tree is not offered: a declined tree attempt falls back".into())
-        }
-        Some(other) => return Err(format!("unknown lp path '{other}' (auto|simplex)")),
-    }
-    match precision {
-        None | Some("hybrid" | "f64-unchecked") => Ok(LpStrategy::Certified),
-        Some("exact") => Ok(LpStrategy::Exact),
-        Some(other) => Err(format!("unknown precision mode '{other}' (hybrid|exact)")),
-    }
-}
-
 /// Turn a wire request into validated work, applying server defaults.
 pub(crate) fn validate(req: &Request, default_timeout: Option<Duration>) -> Result<Work, String> {
     let opts = {
         let mut opts = SolverOptions::exact();
-        opts.lp = lp_strategy(req)?;
+        if let Some(lp) = req.lp.as_deref() {
+            opts.lp = lp.parse()?;
+        }
         opts.polish = req.polish.unwrap_or(false);
         if let Some(shard) = req.shard.as_deref() {
             opts.shard = shard.parse()?;
@@ -1126,6 +1099,7 @@ pub(crate) fn deadline_response(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use atsched_core::solver::LpStrategy;
 
     #[test]
     fn validate_rejects_bad_shapes() {
@@ -1165,46 +1139,27 @@ mod tests {
             _ => panic!("expected solve work"),
         }
 
-        // The legacy `backend` / `precision` / `lp_path` fields map onto
-        // one LP strategy (DESIGN §15.3); no new wire field. Rows list
-        // the three fields in that order, "" for an absent one.
-        let lp = |fields: [&str; 3]| {
-            let [backend, precision, lp_path] = fields.map(|v| (!v.is_empty()).then(|| v.into()));
-            let req = Request { backend, precision, lp_path, ..Request::solve(&inst) };
+        // `lp` is spelled like `LpStrategy`; absent is certified.
+        let lp = |lp: Option<&str>| {
+            let req = Request { lp: lp.map(str::to_string), ..Request::solve(&inst) };
             validate(&req, None).map(|work| match work {
                 Work::Solve { opts, .. } => opts.lp,
                 _ => panic!("expected solve work"),
             })
         };
         use LpStrategy::{Certified, Exact, Float};
-        for (fields, want) in [
-            (["", "", ""], Certified),
-            (["exact", "", ""], Certified),
-            (["", "hybrid", ""], Certified),
-            (["", "", "auto"], Certified),
-            (["", "", "simplex"], Certified),
-            (["exact", "hybrid", "auto"], Certified),
-            (["snap", "", ""], Certified),
-            (["", "f64-unchecked", ""], Certified),
-            (["", "exact", ""], Exact),
-            (["exact", "exact", "simplex"], Exact),
-            (["snap", "exact", ""], Exact),
-            (["float", "", ""], Float),
+        for (field, want) in [
+            (None, Certified),
+            (Some("certified"), Certified),
+            (Some("exact"), Exact),
+            (Some("float"), Float),
         ] {
-            assert_eq!(lp(fields), Ok(want), "{fields:?}");
+            assert_eq!(lp(field), Ok(want), "{field:?}");
         }
-        // Impossible or unknown combinations are typed bad requests.
-        for (fields, needle) in [
-            (["", "", "tree"], "lp_path=tree"),
-            (["exact", "exact", "tree"], "lp_path=tree"),
-            (["float", "exact", ""], "backend=float"),
-            (["float", "", "simplex"], "backend=float"),
-            (["gpu", "", ""], "unknown backend"),
-            (["", "float", ""], "unknown precision mode"),
-            (["", "", "dp"], "unknown lp path"),
-        ] {
-            let err = lp(fields).unwrap_err();
-            assert!(err.contains(needle), "{fields:?}: {err}");
+        // The old spellings of the other fields are not strategies.
+        for field in ["hybrid", "tree", "snap"] {
+            let err = lp(Some(field)).unwrap_err();
+            assert!(err.contains("unknown lp strategy"), "{field}: {err}");
         }
     }
 

@@ -134,9 +134,49 @@ fn malformed_frames_poison_the_request_not_the_connection() {
     reader.read_line(&mut reply).unwrap();
     assert!(reply.contains("bad_request") && reply.contains("\"id\":42"), "{reply}");
 
+    // A protocol-2 LP field → bad_request naming the `lp` field that
+    // replaced it; there is no mapping.
+    reply.clear();
+    writer.write_all(b"{\"verb\":\"health\",\"precision\":\"exact\"}\n").unwrap();
+    reader.read_line(&mut reply).unwrap();
+    assert!(reply.contains("bad_request"), "{reply}");
+    assert!(reply.contains("unknown field `precision`") && reply.contains("`lp`"), "{reply}");
+
+    // A duplicate key → bad_request, not a silent first-or-last pick.
+    reply.clear();
+    writer.write_all(b"{\"verb\":\"health\",\"verb\":\"shutdown\"}\n").unwrap();
+    reader.read_line(&mut reply).unwrap();
+    assert!(reply.contains("bad_request") && reply.contains("duplicate field `verb`"), "{reply}");
+
     // The same connection still serves well-formed requests.
     reply.clear();
     writer.write_all(b"{\"id\":43,\"verb\":\"health\"}\n").unwrap();
+    reader.read_line(&mut reply).unwrap();
+    assert!(reply.contains("\"status\":\"ok\""), "{reply}");
+
+    Client::connect(handle.addr()).unwrap().shutdown().unwrap();
+    handle.join().unwrap();
+}
+
+#[test]
+fn deeply_nested_frames_are_refused_and_the_connection_lives() {
+    // 20,000 levels of `[` fit well inside the default 1 MiB line
+    // bound. Parsing them without a nesting bound overflows the
+    // reactor thread's stack and aborts the process.
+    let handle = spawn_server(ServerConfig::default());
+    let stream = TcpStream::connect(handle.addr()).unwrap();
+    let mut writer = stream.try_clone().unwrap();
+    let mut reader = BufReader::new(stream);
+    let mut reply = String::new();
+
+    let frame = format!("{{\"verb\":\"solve\",\"instance\":{}\n", "[".repeat(20_000));
+    writer.write_all(frame.as_bytes()).unwrap();
+    reader.read_line(&mut reply).unwrap();
+    assert!(reply.contains("bad_request"), "{reply}");
+    assert!(reply.contains("recursion limit exceeded"), "{reply}");
+
+    reply.clear();
+    writer.write_all(b"{\"id\":1,\"verb\":\"health\"}\n").unwrap();
     reader.read_line(&mut reply).unwrap();
     assert!(reply.contains("\"status\":\"ok\""), "{reply}");
 
