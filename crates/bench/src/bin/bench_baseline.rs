@@ -876,7 +876,7 @@ fn run_corpus(args: &[String]) -> Result<Vec<(String, Value)>, String> {
         let tree_p50 = tree.histogram("span.lp.ms").map_or(0.0, |h| h.p50);
         let simplex_p50 = simplex.histogram("span.lp.ms").map_or(0.0, |h| h.p50);
         let family_solved = tree.counter("lp.tree_solved").unwrap_or(0);
-        let family_fallbacks: u64 = ["nonunique", "flow", "scale", "overflow"]
+        let family_fallbacks: u64 = ["flow", "scale", "overflow"]
             .iter()
             .map(|k| tree.counter(&format!("lp.tree_fallback.{k}")).unwrap_or(0))
             .sum();
@@ -885,16 +885,15 @@ fn run_corpus(args: &[String]) -> Result<Vec<(String, Value)>, String> {
         // above (`opts` defaults to `lp=certified`).
         let fb = |k: &str| snapshot.counter(&format!("lp.tree_fallback.{k}")).unwrap_or(0);
         let corpus_solved = snapshot.counter("lp.tree_solved").unwrap_or(0);
-        let (fb_nonunique, fb_flow, fb_scale, fb_overflow) =
-            (fb("nonunique"), fb("flow"), fb("scale"), fb("overflow"));
-        let corpus_fallbacks = fb_nonunique + fb_flow + fb_scale + fb_overflow;
+        let (fb_flow, fb_scale, fb_overflow) = (fb("flow"), fb("scale"), fb("overflow"));
+        let corpus_fallbacks = fb_flow + fb_scale + fb_overflow;
         let attempts = corpus_solved + corpus_fallbacks;
         let coverage = if attempts > 0 { corpus_solved as f64 / attempts as f64 } else { 0.0 };
         eprintln!(
             "lp_tree: family lp p50 tree {tree_p50:.3} ms vs simplex {simplex_p50:.3} ms \
              ({speedup:.2}x; families {family_solved} solved / {family_fallbacks} fallbacks; \
-             corpus coverage {coverage:.3}, fallbacks nonunique={fb_nonunique} flow={fb_flow} \
-             scale={fb_scale} overflow={fb_overflow})"
+             corpus coverage {coverage:.3}, fallbacks flow={fb_flow} scale={fb_scale} \
+             overflow={fb_overflow})"
         );
         Value::Map(vec![
             ("tree_p50_ms".into(), Value::Float(tree_p50)),
@@ -906,7 +905,6 @@ fn run_corpus(args: &[String]) -> Result<Vec<(String, Value)>, String> {
             ("corpus_tree_solved".into(), Value::UInt(corpus_solved)),
             ("corpus_fallbacks".into(), Value::UInt(corpus_fallbacks)),
             ("corpus_coverage".into(), Value::Float(coverage)),
-            ("fallback_nonunique".into(), Value::UInt(fb_nonunique)),
             ("fallback_flow".into(), Value::UInt(fb_flow)),
             ("fallback_scale".into(), Value::UInt(fb_scale)),
             ("fallback_overflow".into(), Value::UInt(fb_overflow)),

@@ -93,7 +93,9 @@ fn run(cmd: &str, args: &[String]) -> Result<(), String> {
 }
 
 /// The flags of each subcommand, and of each `client` verb as
-/// `client VERB`: those that take a value, then the switches.
+/// `client VERB`: those that take a value, then the switches. A value
+/// flag marked `...` may repeat (`amend --delta`); every other flag may
+/// be given once.
 const FLAGS: &[(&str, &str, &str)] = &[
     ("generate", "--g --horizon --seed --roots --gap --child-percent --out", ""),
     ("solve", "--lp --shard --schedule --svg", "--polish --no-ceiling --metrics"),
@@ -122,25 +124,41 @@ const FLAGS: &[(&str, &str, &str)] = &[
     ("client metrics", "", ""),
     ("client health", "", ""),
     ("client shutdown", "", ""),
-    ("amend", "--delta", "--keep-open"),
+    ("amend", "--delta...", "--keep-open"),
 ];
 
-/// Refuse any `--flag` that `cmd` does not take (see [`FLAGS`]) and a
-/// value flag with no value. A flag may repeat (`amend --delta`).
-pub(crate) fn check_flags(cmd: &str, args: &[String]) -> Result<(), String> {
+/// Refuse any `--flag` that `cmd` does not take (see [`FLAGS`]), a
+/// value flag with no value, and a second occurrence of a flag that may
+/// not repeat. Returns the positional arguments: every argument that is
+/// neither a flag nor a value flag's value.
+pub(crate) fn check_flags<'a>(cmd: &str, args: &'a [String]) -> Result<Vec<&'a str>, String> {
     let (_, values, switches) = FLAGS
         .iter()
         .find(|(name, ..)| *name == cmd)
         .ok_or_else(|| format!("unknown subcommand '{cmd}'\n{USAGE}"))?;
+    let mut positionals = Vec::new();
+    let mut seen: Vec<&str> = Vec::new();
     let mut args = args.iter();
     while let Some(arg) = args.next() {
-        if values.split_whitespace().any(|flag| flag == arg) {
+        if !arg.starts_with("--") {
+            positionals.push(arg.as_str());
+            continue;
+        }
+        let value = values.split_whitespace().find(|flag| flag.trim_end_matches("...") == arg);
+        if let Some(flag) = value {
             args.next().ok_or_else(|| format!("{arg} needs a value (atsched {cmd})"))?;
-        } else if arg.starts_with("--") && !switches.split_whitespace().any(|flag| flag == arg) {
+            if flag.ends_with("...") {
+                continue;
+            }
+        } else if !switches.split_whitespace().any(|flag| flag == arg) {
             return Err(format!("unknown flag {arg} for `atsched {cmd}` (see `atsched --help`)"));
         }
+        if seen.contains(&arg.as_str()) {
+            return Err(format!("{arg} given more than once (atsched {cmd})"));
+        }
+        seen.push(arg);
     }
-    Ok(())
+    Ok(positionals)
 }
 
 pub(crate) fn flag_value<'a>(args: &'a [String], name: &str) -> Option<&'a str> {
@@ -284,7 +302,7 @@ fn cmd_solve(args: &[String]) -> Result<(), String> {
 /// `--seed + 1`, …).
 fn cmd_batch(args: &[String]) -> Result<(), String> {
     let mut instances = Vec::new();
-    for path in args.iter().take_while(|a| !a.starts_with("--")) {
+    for path in check_flags("batch", args)? {
         instances.push(load(path)?);
     }
     let count: usize = parse_num(args, "--count", 0usize)?;
@@ -623,13 +641,18 @@ mod tests {
                 .iter()
                 .find(|(cmd, ..)| *cmd == name)
                 .unwrap_or_else(|| panic!("USAGE lists `{name}`, FLAGS does not"));
-            let mut want: Vec<(String, bool)> =
-                values.split_whitespace().map(|f| (f.to_string(), true)).collect();
+            let mut want: Vec<(String, bool)> = values
+                .split_whitespace()
+                .map(|f| (f.trim_end_matches("...").to_string(), true))
+                .collect();
             want.extend(switches.split_whitespace().map(|f| (f.to_string(), false)));
             want.sort();
             let mut listed = listed;
             listed.sort();
-            listed.dedup(); // `amend` shows `--delta` twice
+            // USAGE shows a repeatable flag twice (`amend --delta`).
+            let repeatable: Vec<String> =
+                listed.windows(2).filter(|w| w[0] == w[1]).map(|w| w[0].0.clone()).collect();
+            listed.dedup();
             assert_eq!(listed, want, "`atsched {name}`: USAGE against FLAGS");
 
             for (flag, takes_value) in &listed {
@@ -638,8 +661,15 @@ mod tests {
                     args.push("1".into());
                     assert!(check_flags(&name, &args[..1]).unwrap_err().contains("needs a value"));
                 }
-                args.extend(args.clone()); // a flag may repeat
-                assert_eq!(check_flags(&name, &args), Ok(()), "{name} {args:?}");
+                assert_eq!(check_flags(&name, &args), Ok(vec![]), "{name} {args:?}");
+                args.extend(args.clone());
+                let twice = check_flags(&name, &args);
+                if repeatable.contains(flag) {
+                    assert_eq!(twice, Ok(vec![]), "{name} {args:?}");
+                } else {
+                    let err = twice.unwrap_err();
+                    assert!(err.starts_with(&format!("{flag} given more than once")), "{err}");
+                }
             }
             let err = check_flags(&name, &["--polsh".to_string()]).unwrap_err();
             assert!(

@@ -74,6 +74,50 @@ fn unknown_flags_fail_before_any_work() {
     assert!(stderr.contains("unknown flag --polish for `atsched client health`"), "{stderr}");
 }
 
+#[test]
+fn batch_reads_instance_files_given_after_flags() {
+    let small = write_instance("after-flags", &small_instance());
+    let out = atsched()
+        .args(["batch", "--count", "2", "--workers", "1", small.to_str().unwrap()])
+        .output()
+        .unwrap();
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(out.status.success(), "{stderr}");
+    assert!(stderr.contains("batch: 3 instances"), "two generated plus the file: {stderr}");
+
+    // A file named after a flag is read, so a missing one is an error.
+    let out = atsched()
+        .args(["batch", "--count", "2", "--workers", "1", "missing-after-flags.json"])
+        .output()
+        .unwrap();
+    assert!(!out.status.success(), "a missing instance file must not be skipped");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("loading missing-after-flags.json"), "{stderr}");
+}
+
+#[test]
+fn a_flag_given_twice_is_refused_unless_it_repeats() {
+    let small = write_instance("twice", &small_instance());
+    let small = small.to_str().unwrap();
+    let out = atsched()
+        .args(["batch", small, "--workers", "1", "--lp", "exact", "--lp", "float"])
+        .output()
+        .unwrap();
+    assert!(!out.status.success(), "a repeated --lp must not resolve silently");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("--lp given more than once (atsched batch)"), "{stderr}");
+
+    // `amend --delta` repeats: the flag check passes both, and the run
+    // fails later, on reading the first (missing) delta file.
+    let out = atsched()
+        .args(["amend", "127.0.0.1:9", small, "--delta", "missing-1.json", "--delta", "b.json"])
+        .output()
+        .unwrap();
+    assert!(!out.status.success());
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("loading missing-1.json"), "{stderr}");
+}
+
 /// Spawn `atsched serve` on an ephemeral port and return the child plus
 /// the address it printed.
 fn spawn_serve(extra: &[&str]) -> (Child, String) {

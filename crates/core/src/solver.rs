@@ -28,6 +28,7 @@ use crate::rounding::check_budget;
 use crate::schedule::Schedule;
 use crate::transform::push_down;
 use crate::tree::Forest;
+use crate::treelp::{TreeDp, TreeOutcome};
 use atsched_lp::Scalar;
 use atsched_num::Ratio;
 use atsched_obs as obs;
@@ -43,10 +44,12 @@ pub enum LpStrategy {
     /// Tree DP ([`crate::treelp`]), then the f64-first, exactly
     /// verified simplex ([`atsched_lp::Model::solve_hybrid`]), which
     /// itself falls back to the exact simplex (the default). Each
-    /// attempt either returns the exact optimum or declines, so the
-    /// result is bit-identical to [`LpStrategy::Exact`].
+    /// attempt either returns an exact optimum or declines, and a
+    /// simplex optimum is re-pinned like [`LpStrategy::Exact`]'s, so the
+    /// result is bit-identical to it.
     Certified,
-    /// Pure big-rational simplex (the reference; unconditional 9/5).
+    /// Pure big-rational simplex, re-pinned root by root by the tree
+    /// path's split rule (the reference; unconditional 9/5).
     Exact,
     /// `f64` simplex and `f64` rounding, for sweeps. The schedule is
     /// still verified; a repair pass covers float noise.
@@ -392,18 +395,24 @@ fn falls_back_to_exact(stats: &SolveStats) -> bool {
 
 /// An LP optimum in the arithmetic it was solved in, tagged with the
 /// attempt that produced it.
-enum LpOptimum {
+pub(crate) enum LpOptimum {
     Rational(crate::lp_model::FractionalSolution<Ratio>, LpAnswer),
     Float(crate::lp_model::FractionalSolution<f64>),
 }
 
 /// The LP stage: run `strategy`'s attempts in order until one answers.
 ///
+/// Both rational strategies answer [`TreeDp`]'s pin wherever it
+/// certifies: the tree attempt pins each root at its demand, and a
+/// simplex optimum, hybrid or exact, is re-pinned root by root at that
+/// root's optimal total. Each re-pinned root bumps its
+/// [`Repin::counter`](crate::treelp::Repin::counter).
+///
 /// The answering attempt runs under an `lp` span and is timed into
 /// [`StageTimings::lp`]. A declined tree attempt runs under its own
 /// `lp.tree_declined` span, is timed into [`StageTimings::lp_declined`]
 /// and bumps its [`TreeDecline::counter`](crate::treelp::TreeDecline::counter).
-fn solve_lp(
+pub(crate) fn solve_lp(
     inst: &Instance,
     canon: &Forest,
     bounds: &opt23::OptBounds,
@@ -411,20 +420,25 @@ fn solve_lp(
     strategy: LpStrategy,
     timings: &mut StageTimings,
 ) -> Result<LpOptimum, SolveError> {
+    let dp = || TreeDp::new(canon, inst, bounds, opts.use_ceiling, opts.ceiling_depth);
+    let mut declined = None;
     if strategy == LpStrategy::Certified {
         let stage = Instant::now();
         let mut span = obs::Span::enter("lp");
-        match crate::treelp::solve_tree(canon, inst, bounds, opts.use_ceiling, opts.ceiling_depth) {
-            Ok(crate::treelp::TreeOutcome::Solved(sol)) => {
+        let tree = dp();
+        match tree.solve(canon, inst) {
+            Ok(TreeOutcome::Solved(sol)) => {
+                drop(tree); // inside the stage clock
                 timings.lp = stage.elapsed();
                 obs::counter_add("lp.tree_solved", 1);
                 return Ok(LpOptimum::Rational(sol, LpAnswer::Tree));
             }
-            Ok(crate::treelp::TreeOutcome::Infeasible) => return Err(SolveError::Infeasible),
+            Ok(TreeOutcome::Infeasible) => return Err(SolveError::Infeasible),
             Err(decline) => {
                 obs::counter_add(decline.counter(), 1);
                 span.rename("lp.tree_declined");
                 timings.lp_declined = stage.elapsed();
+                declined = Some(tree);
             }
         }
     }
@@ -435,15 +449,21 @@ fn solve_lp(
         NestedLpError::Infeasible => SolveError::Infeasible,
         NestedLpError::Solver(e) => SolveError::Lp(e),
     };
+    let repinned = |mut sol| {
+        for outcome in declined.unwrap_or_else(dp).repin(canon, inst, &mut sol) {
+            obs::counter_add(outcome.counter(), 1);
+        }
+        sol
+    };
     let optimum = match strategy {
         LpStrategy::Certified => {
             let (sol, outcome) =
                 build_lp::<Ratio>(canon, inst, bounds, opts).solve_hybrid().map_err(lp_error)?;
             let answer = if outcome.fell_back() { LpAnswer::Exact } else { LpAnswer::Hybrid };
-            LpOptimum::Rational(sol, answer)
+            LpOptimum::Rational(repinned(sol), answer)
         }
         LpStrategy::Exact => LpOptimum::Rational(
-            build_lp::<Ratio>(canon, inst, bounds, opts).solve().map_err(lp_error)?,
+            repinned(build_lp::<Ratio>(canon, inst, bounds, opts).solve().map_err(lp_error)?),
             LpAnswer::Exact,
         ),
         LpStrategy::Float => {
@@ -855,10 +875,12 @@ mod tests {
         assert!(tree.stats.timings.lp > Duration::ZERO);
         assert_eq!(spans, vec![1, 0]);
 
-        // A slack split the DP cannot pin: the tree declines and the
-        // hybrid simplex answers, each attempt under its own span.
-        let wide = inst(2, vec![(0, 10, 2), (1, 6, 2), (2, 5, 1), (7, 9, 1)]);
-        let (declined, spans) = solve_traced(&wide, &["lp", "lp.tree_declined"]);
+        // A demand the DP undershoots (4 against an optimum of 5, the
+        // p = 4 job cannot share the rigid pair's slot): the pin fails the
+        // flow check, the tree declines and the hybrid simplex answers,
+        // each attempt under its own span.
+        let undershot = inst(2, vec![(0, 8, 4), (4, 5, 1), (4, 5, 1)]);
+        let (declined, spans) = solve_traced(&undershot, &["lp", "lp.tree_declined"]);
         assert_ne!(declined.stats.lp_answer, LpAnswer::Tree);
         let t = declined.stats.timings;
         assert!(t.lp_declined > Duration::ZERO);

@@ -1,32 +1,44 @@
 //! LP-free combinatorial fast path: a bottom-up tree DP that solves the
-//! strengthened LP of Figure 1(a) directly on the laminar forest.
+//! strengthened LP of Figure 1(a) directly on the laminar forest, and
+//! the *pin* that makes every LP strategy answer the same optimum.
 //!
 //! The strengthened LP lives entirely on the laminar tree, so general
 //! simplex machinery is structurally overkill (cf. the flow/combinatorial
 //! treatments of active-time LPs in Chang–Khuller–Mukherjee and
-//! Chang–Gabow–Khuller). This module computes, per node `i`, a *demand*
+//! Chang–Gabow–Khuller). [`TreeDp`] computes, per node `i`, a *demand*
 //! `D(i)` — a lower bound on `x(Des(i))` implied by the LP constraints —
-//! and a *capacity* `M(i) = Σ_{Des(i)} L`, then tries to pin the unique
-//! `x`-vector attaining `Σ_roots D(root)` by propagating residual slack
-//! top-down. The candidate is certified two ways:
+//! and a *capacity* `M(i) = Σ_{Des(i)} L`.
 //!
-//! 1. **Feasibility** — a `g`-scaled integral max-flow (the Lemma 4.1
-//!    deficiency network over job groups) proves a valid `y` exists for
-//!    the candidate `x`, and harvests that `y` exactly.
-//! 2. **Optimality + uniqueness** — `D(root)` is a valid LP lower bound
-//!    by construction, so a feasible candidate with objective
-//!    `Σ D(root)` is optimal; the top-down pinning only succeeds when
-//!    every split is *forced*, which proves the optimal face is a single
-//!    vertex, hence the exact simplex would return bit-identical `x`.
+//! **The pin.** Pinning a root at a total `t` distributes `t` top-down by
+//! one rule: at each node, the slack above the children's demands goes
+//! to the children in index order, each up to its capacity, and the
+//! remainder goes to the node's own width. The constraints
+//! `x(Des(i)) ≥ D(i)` and `0 ≤ x(i) ≤ L(i)` form a relaxation of the LP's
+//! `x`-projection, and with the root total fixed the pin is that
+//! relaxation's lexicographic optimum (node by node in topological
+//! order: minimum own `x`, then maximum children's totals in index
+//! order). A pin that a `g`-scaled integral max-flow certifies (the
+//! Lemma 4.1 network over job groups, which also harvests an exact `y`)
+//! is LP-feasible, so it is the LP's own lexicographic optimum at that
+//! total, whichever computation found the total.
 //!
-//! Whenever any of this fails — a slack split that several nodes could
-//! absorb, a demand DP that undershoots the true optimum (possible:
-//! constraint (5) can bind through empty-but-positive nodes the DP does
-//! not model), or an infeasible flow — the module *declines* with a
-//! typed [`TreeDecline`] and the caller falls back to simplex. A decline
-//! is never a verdict: the tree path either returns the provably-unique
-//! LP optimum, proves the instance infeasible (`D(root) > M(root)`), or
-//! says nothing.
+//! The pin runs twice:
+//!
+//! 1. [`TreeDp::solve`] — the tree attempt — pins every root at
+//!    `D(root)`. `D(root)` is an LP lower bound, so a certified pin is
+//!    optimal.
+//! 2. [`TreeDp::repin`] re-pins a simplex optimum root by root at each
+//!    root's own optimal total. The LP is block-diagonal across roots, so
+//!    every optimum has the same root totals; a root whose pin certifies
+//!    takes the pinned block, any other keeps the simplex vertex.
+//!
+//! The tree attempt either returns an LP optimum, proves the instance
+//! infeasible (`D(i) > M(i)` somewhere), or declines with a typed
+//! [`TreeDecline`] — a demand DP that undershoots the true optimum
+//! (possible: constraints (3) and (5) can bind through nodes the DP does
+//! not model, such as a child saturated by its own jobs) fails the flow
+//! check — and the caller falls back to simplex. A decline is never a
+//! verdict.
 
 use crate::instance::Instance;
 use crate::lp_model::{group_jobs, FractionalSolution, JobGroup};
@@ -39,16 +51,9 @@ use atsched_num::Ratio;
 /// simplex; each variant has a stable label and counter).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TreeDecline {
-    /// Residual slack at this node could be split between two or more
-    /// variables — the optimal face may not be a single vertex, so
-    /// bit-identity with simplex cannot be certified.
-    NonUniqueSplit {
-        /// The node whose slack split is ambiguous.
-        node: usize,
-    },
     /// The pinned candidate is not `y`-feasible (the demand DP undershot
-    /// the LP optimum; e.g. constraint (5) binding through an empty
-    /// node).
+    /// the LP optimum; e.g. constraint (5) binding through an empty or
+    /// saturated node).
     FlowInfeasible,
     /// A pinned `x(i)` is not an integer multiple of `1/g` (cannot build
     /// the integral certification network).
@@ -64,7 +69,6 @@ impl TreeDecline {
     /// Stable label used in `lp.tree_fallback.<label>` counters.
     pub fn label(&self) -> &'static str {
         match self {
-            TreeDecline::NonUniqueSplit { .. } => "nonunique",
             TreeDecline::FlowInfeasible => "flow",
             TreeDecline::NonIntegralScale { .. } => "scale",
             TreeDecline::Overflow => "overflow",
@@ -74,7 +78,6 @@ impl TreeDecline {
     /// The `lp.tree_fallback.<label>` counter this decline bumps.
     pub fn counter(&self) -> &'static str {
         match self {
-            TreeDecline::NonUniqueSplit { .. } => "lp.tree_fallback.nonunique",
             TreeDecline::FlowInfeasible => "lp.tree_fallback.flow",
             TreeDecline::NonIntegralScale { .. } => "lp.tree_fallback.scale",
             TreeDecline::Overflow => "lp.tree_fallback.overflow",
@@ -85,9 +88,6 @@ impl TreeDecline {
 impl std::fmt::Display for TreeDecline {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            TreeDecline::NonUniqueSplit { node } => {
-                write!(f, "slack split at node {node} is not forced")
-            }
             TreeDecline::FlowInfeasible => {
                 write!(f, "demand-DP candidate is not y-feasible")
             }
@@ -99,237 +99,309 @@ impl std::fmt::Display for TreeDecline {
     }
 }
 
+/// What [`TreeDp::repin`] did with one root block of a simplex optimum
+/// (each outcome bumps its own counter).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Repin {
+    /// The pin at the root's optimal total certified and replaced the
+    /// block.
+    Pinned,
+    /// The pin did not certify; the block stays at the simplex vertex.
+    Kept,
+}
+
+impl Repin {
+    /// The `lp.repin.<outcome>` counter this outcome bumps.
+    pub fn counter(&self) -> &'static str {
+        match self {
+            Repin::Pinned => "lp.repin.pinned",
+            Repin::Kept => "lp.repin.kept",
+        }
+    }
+}
+
 /// A successful tree-path outcome.
 #[derive(Debug, Clone)]
 pub enum TreeOutcome {
-    /// The provably-unique LP optimum, with `y` harvested from the
-    /// certification flow. Bit-identical (in `x` and objective) to what
-    /// the exact simplex returns.
+    /// The pinned LP optimum, with `y` harvested from the certification
+    /// flow. Bit-identical (in `x` and objective) to what the exact
+    /// strategy returns after its re-pin.
     Solved(FractionalSolution<Ratio>),
-    /// `D(root) > M(root)` for some root: demanded open mass exceeds the
+    /// `D(i) > M(i)` for some node: demanded open mass exceeds the
     /// subtree's total slots, so the instance (and the LP) is infeasible.
     Infeasible,
 }
 
-/// Solve the strengthened LP combinatorially on the laminar forest, or
-/// decline.
-///
-/// `use_ceiling` / `ceiling_depth` must match what
-/// [`build_opts`](crate::lp_model::build_opts) /
-/// [`add_deep_ceilings`](crate::lp_model::add_deep_ceilings) would
-/// receive, so the demand DP mirrors exactly the constraint set the
-/// simplex path would solve.
-pub fn solve_tree(
-    forest: &Forest,
-    inst: &Instance,
-    bounds: &OptBounds,
-    use_ceiling: bool,
-    ceiling_depth: i64,
-) -> Result<TreeOutcome, TreeDecline> {
-    let m = forest.num_nodes();
-    let g = inst.g;
-    let groups = group_jobs(forest, inst);
-
-    // --- Per-node demand inputs, mirroring the LP's constraint set. ---
-    // Ceiling constraints (7)/(8) and the deep extension: only the
-    // constraints the LP actually emits become DP bounds.
-    let mut ceil_bound = vec![0i64; m];
-    if use_ceiling {
-        for (i, cb) in ceil_bound.iter_mut().enumerate() {
-            if bounds.ge3[i] {
-                *cb = 3;
-            } else if bounds.ge2[i] {
-                *cb = 2;
-            }
-        }
-        if ceiling_depth > 3 {
-            let deep = crate::opt23::compute_deep(forest, inst, ceiling_depth);
-            for (i, cb) in ceil_bound.iter_mut().enumerate() {
-                if deep.lower[i] > 3 {
-                    *cb = (*cb).max(deep.lower[i]);
-                }
-            }
-        }
-    }
-    // Constraint (2)+(5): a group with processing p forces x(Des(k)) ≥ p.
-    let mut group_bound = vec![0i64; m];
-    for grp in &groups {
-        group_bound[grp.node] = group_bound[grp.node].max(grp.processing);
-    }
-
-    // --- Bottom-up DP: volume, capacity M, demand D. ---
-    let order = forest.post_order();
-    let mut vol = vec![0i64; m]; // Σ p over jobs in the subtree
-    let mut cap = vec![0i64; m]; // M(i) = Σ_{Des(i)} L
-    let mut demand = vec![Ratio::from_i64(0); m]; // D(i)
-    for &i in &order {
-        let node = &forest.nodes[i];
-        let own_vol: i64 = node.jobs.iter().map(|&j| inst.jobs[j].processing).sum();
-        vol[i] = own_vol + node.children.iter().map(|&c| vol[c]).sum::<i64>();
-        cap[i] = node.len() + node.children.iter().map(|&c| cap[c]).sum::<i64>();
-        let kids: Ratio = node.children.iter().map(|&c| demand[c].clone()).sum();
-        // Constraint (2)+(3) summed: g·x(Des(i)) ≥ volume in the subtree.
-        let d = kids
-            .max(Ratio::from_frac(vol[i], g))
-            .max(Ratio::from_i64(ceil_bound[i].max(group_bound[i])));
-        demand[i] = d;
-    }
-
-    // --- Infeasibility: demanded mass exceeds available slots. ---
-    for &r in &forest.roots {
-        if demand[r] > Ratio::from_i64(cap[r]) {
-            return Ok(TreeOutcome::Infeasible);
-        }
-    }
-
-    // --- Top-down pinning: the split at every node must be forced. ---
-    // Subtree totals t(i); processing parents before children
-    // (topological order) so t(i) is known when node i is split.
-    let mut total = vec![Ratio::from_i64(0); m];
-    for &r in &forest.roots {
-        total[r] = demand[r].clone();
-    }
-    let mut x = vec![Ratio::from_i64(0); m];
-    for i in forest.topological_order() {
-        let node = &forest.nodes[i];
-        let own_len = Ratio::from_i64(node.len());
-        let kids_demand: Ratio = node.children.iter().map(|&c| demand[c].clone()).sum();
-        let slack = &total[i] - &kids_demand;
-        if slack.is_negative() {
-            // t(i) < Σ D(children) cannot happen for a consistently
-            // pinned t; decline defensively rather than trust it.
-            return Err(TreeDecline::NonUniqueSplit { node: i });
-        }
-        let kids_range: Ratio =
-            node.children.iter().map(|&c| &Ratio::from_i64(cap[c]) - &demand[c]).sum();
-        let full_range = &own_len + &kids_range;
-        if slack > full_range {
-            return Err(TreeDecline::NonUniqueSplit { node: i });
-        }
-        if slack.is_zero() {
-            // Every variable pinned at its lower end.
-            x[i] = Ratio::from_i64(0);
-            for &c in &node.children {
-                total[c] = demand[c].clone();
-            }
-        } else if slack == full_range {
-            // Every variable pinned at its upper end.
-            x[i] = own_len;
-            for &c in &node.children {
-                total[c] = Ratio::from_i64(cap[c]);
-            }
-        } else {
-            // Slack is strictly interior: forced only if exactly one
-            // variable has room to absorb it.
-            let mut wide_child: Option<usize> = None;
-            let mut wide = 0usize;
-            for &c in &node.children {
-                if Ratio::from_i64(cap[c]) > demand[c] {
-                    wide += 1;
-                    wide_child = Some(c);
-                }
-            }
-            if !node.is_empty() {
-                wide += 1;
-            }
-            if wide != 1 {
-                return Err(TreeDecline::NonUniqueSplit { node: i });
-            }
-            for &c in &node.children {
-                total[c] = demand[c].clone();
-            }
-            match wide_child {
-                Some(c) if node.is_empty() => {
-                    x[i] = Ratio::from_i64(0);
-                    total[c] = &demand[c] + &slack;
-                }
-                _ => x[i] = slack,
-            }
-        }
-    }
-
-    // --- Certification: g-scaled integral flow over the group network.
-    // Feasible iff a valid y exists for this x; the flow *is* that y. ---
-    let sol = certify_flow(forest, inst, &groups, &x)?;
-    debug_assert_eq!(sol.objective, forest.roots.iter().map(|&r| &demand[r]).sum::<Ratio>());
-    Ok(TreeOutcome::Solved(sol))
+/// One root's subtree: a diagonal block of the LP.
+#[derive(Debug)]
+struct Block {
+    root: usize,
+    /// The subtree's nodes in preorder (parents before children).
+    nodes: Vec<usize>,
+    /// Ids of the job groups whose node lies in the subtree, ascending.
+    groups: Vec<usize>,
 }
 
-/// Build the `g`-scaled group/node flow network for a candidate `x`,
-/// check `y`-feasibility by max-flow, and harvest the exact `y`.
-///
-/// Scaling by `g` makes every capacity integral (each `x(i)` is a
-/// multiple of `1/g` by construction): source→G carries `q·p·g`,
-/// G→i carries `q·(g·x(i))` (constraint (5)), i→sink carries
-/// `g·(g·x(i))` (constraint (3)). Saturating the source side is exactly
-/// constraint (2); dividing the harvested flow by `g` yields a rational
-/// `y` that satisfies the LP verbatim.
-fn certify_flow(
-    forest: &Forest,
-    inst: &Instance,
-    groups: &[JobGroup],
-    x: &[Ratio],
-) -> Result<FractionalSolution<Ratio>, TreeDecline> {
-    let m = forest.num_nodes();
-    let g = inst.g;
-    // g·x(i) as exact integers.
-    let mut xs = vec![0i64; m];
-    for i in 0..m {
-        let scaled = &x[i] * &Ratio::from_i64(g);
-        if !scaled.is_integer() {
-            return Err(TreeDecline::NonIntegralScale { node: i });
+/// The demand DP of a canonical forest: everything the pin and its flow
+/// certificate need, computed once per solve.
+#[derive(Debug)]
+pub struct TreeDp {
+    groups: Vec<JobGroup>,
+    /// `D(i)`.
+    demand: Vec<Ratio>,
+    /// `M(i) = Σ_{Des(i)} L`.
+    cap: Vec<i64>,
+    /// Some node has `D(i) > M(i)`.
+    infeasible: bool,
+    blocks: Vec<Block>,
+    /// Each node's index in its block's `nodes`.
+    local: Vec<usize>,
+}
+
+impl TreeDp {
+    /// Run the bottom-up demand DP.
+    ///
+    /// `use_ceiling` / `ceiling_depth` must match what
+    /// [`build_opts`](crate::lp_model::build_opts) /
+    /// [`add_deep_ceilings`](crate::lp_model::add_deep_ceilings) would
+    /// receive, so the demand DP mirrors exactly the constraint set the
+    /// simplex path would solve.
+    pub fn new(
+        forest: &Forest,
+        inst: &Instance,
+        bounds: &OptBounds,
+        use_ceiling: bool,
+        ceiling_depth: i64,
+    ) -> Self {
+        let m = forest.num_nodes();
+        let g = inst.g;
+        let groups = group_jobs(forest, inst);
+
+        // --- Per-node demand inputs, mirroring the LP's constraint set. ---
+        // Ceiling constraints (7)/(8) and the deep extension: only the
+        // constraints the LP actually emits become DP bounds.
+        let mut ceil_bound = vec![0i64; m];
+        if use_ceiling {
+            for (i, cb) in ceil_bound.iter_mut().enumerate() {
+                if bounds.ge3[i] {
+                    *cb = 3;
+                } else if bounds.ge2[i] {
+                    *cb = 2;
+                }
+            }
+            if ceiling_depth > 3 {
+                let deep = crate::opt23::compute_deep(forest, inst, ceiling_depth);
+                for (i, cb) in ceil_bound.iter_mut().enumerate() {
+                    if deep.lower[i] > 3 {
+                        *cb = (*cb).max(deep.lower[i]);
+                    }
+                }
+            }
         }
-        xs[i] = scaled.floor().to_i64().ok_or(TreeDecline::Overflow)?;
+        // Constraint (2)+(5): a group with processing p forces x(Des(k)) ≥ p.
+        let mut group_bound = vec![0i64; m];
+        for grp in &groups {
+            group_bound[grp.node] = group_bound[grp.node].max(grp.processing);
+        }
+
+        // --- Bottom-up DP: volume, capacity M, demand D. ---
+        let mut vol = vec![0i64; m]; // Σ p over jobs in the subtree
+        let mut cap = vec![0i64; m];
+        let mut demand = vec![Ratio::from_i64(0); m];
+        let mut infeasible = false;
+        for i in forest.post_order() {
+            let node = &forest.nodes[i];
+            let own_vol: i64 = node.jobs.iter().map(|&j| inst.jobs[j].processing).sum();
+            vol[i] = own_vol + node.children.iter().map(|&c| vol[c]).sum::<i64>();
+            cap[i] = node.len() + node.children.iter().map(|&c| cap[c]).sum::<i64>();
+            let kids: Ratio = node.children.iter().map(|&c| &demand[c]).sum();
+            // Constraint (2)+(3) summed: g·x(Des(i)) ≥ volume in the subtree.
+            demand[i] = kids
+                .max(Ratio::from_frac(vol[i], g))
+                .max(Ratio::from_i64(ceil_bound[i].max(group_bound[i])));
+            // x(Des(i)) ≥ D(i) cannot fit in M(i) slots: infeasible.
+            infeasible |= demand[i] > Ratio::from_i64(cap[i]);
+        }
+
+        // --- The diagonal blocks: one per root. ---
+        let mut local = vec![0usize; m];
+        let mut block_of = vec![0usize; m];
+        let mut blocks: Vec<Block> = Vec::with_capacity(forest.roots.len());
+        for (b, &root) in forest.roots.iter().enumerate() {
+            let nodes = forest.descendants(root);
+            for (k, &i) in nodes.iter().enumerate() {
+                local[i] = k;
+                block_of[i] = b;
+            }
+            blocks.push(Block { root, nodes, groups: Vec::new() });
+        }
+        for (gid, grp) in groups.iter().enumerate() {
+            blocks[block_of[grp.node]].groups.push(gid);
+        }
+
+        TreeDp { groups, demand, cap, infeasible, blocks, local }
     }
 
-    let mut net = FlowNetwork::new(2 + groups.len() + m);
-    let (source, sink) = (0usize, 1usize);
-    let group_node = |gid: usize| 2 + gid;
-    let forest_node = |i: usize| 2 + groups.len() + i;
+    /// The tree attempt: pin every root at `D(root)` and flow-certify it.
+    ///
+    /// Returns the LP optimum, proves the instance infeasible, or
+    /// declines at the first root whose pin does not certify.
+    pub fn solve(&self, forest: &Forest, inst: &Instance) -> Result<TreeOutcome, TreeDecline> {
+        if self.infeasible {
+            return Ok(TreeOutcome::Infeasible);
+        }
+        let m = forest.num_nodes();
+        let mut x = vec![Ratio::from_i64(0); m];
+        let mut y = vec![Vec::new(); m];
+        for block in &self.blocks {
+            let harvested = self.pin(forest, inst, block, &self.demand[block.root], &mut x)?;
+            for (&i, yi) in block.nodes.iter().zip(harvested) {
+                y[i] = yi;
+            }
+        }
+        let objective = self.blocks.iter().map(|b| &self.demand[b.root]).sum();
+        Ok(TreeOutcome::Solved(FractionalSolution { x, y, objective }))
+    }
 
-    let mut demand_total = 0i64;
-    let mut y_edges: Vec<(usize, usize, atsched_flow::EdgeRef)> = Vec::new();
-    for (gid, grp) in groups.iter().enumerate() {
-        let need = grp
-            .count()
-            .checked_mul(grp.processing)
-            .and_then(|v| v.checked_mul(g))
-            .ok_or(TreeDecline::Overflow)?;
-        demand_total = demand_total.checked_add(need).ok_or(TreeDecline::Overflow)?;
-        net.add_edge(source, group_node(gid), need);
-        for i in forest.descendants(grp.node) {
+    /// Re-pin a simplex optimum root by root, each at that root's own
+    /// optimal total: a root whose pin certifies takes the pinned block
+    /// of `x` and `y`, any other keeps the simplex vertex. The objective
+    /// is unchanged. Returns what happened to each root, in root order.
+    ///
+    /// Per root, not per forest: whether a block is pinned then depends
+    /// on that block alone, as it does when the roots are solved apart.
+    pub fn repin(
+        &self,
+        forest: &Forest,
+        inst: &Instance,
+        sol: &mut FractionalSolution<Ratio>,
+    ) -> Vec<Repin> {
+        let mut x = sol.x.clone();
+        let mut outcomes = Vec::with_capacity(self.blocks.len());
+        for block in &self.blocks {
+            let total: Ratio = block.nodes.iter().map(|&i| &sol.x[i]).sum();
+            let outcome = match self.pin(forest, inst, block, &total, &mut x) {
+                Ok(harvested) => {
+                    for (&i, yi) in block.nodes.iter().zip(harvested) {
+                        sol.x[i] = x[i].clone();
+                        sol.y[i] = yi;
+                    }
+                    Repin::Pinned
+                }
+                Err(_) => Repin::Kept,
+            };
+            outcomes.push(outcome);
+        }
+        outcomes
+    }
+
+    /// Pin `block` at root total `total` into `x` by the split rule, then
+    /// flow-certify it. Returns the harvested `y` of each block node
+    /// (aligned with `block.nodes`), or why the pin does not certify.
+    ///
+    /// `total` must lie in `[D(root), M(root)]`, as every LP-feasible
+    /// total does; then every child total stays in `[D(c), M(c)]` and
+    /// every own `x` in `[0, L]`.
+    fn pin(
+        &self,
+        forest: &Forest,
+        inst: &Instance,
+        block: &Block,
+        total: &Ratio,
+        x: &mut [Ratio],
+    ) -> Result<Vec<Vec<(usize, Ratio)>>, TreeDecline> {
+        // Preorder visits a parent before its children, so `x[c]` holds
+        // child `c`'s subtree total until `c` itself is split.
+        x[block.root] = total.clone();
+        for &i in &block.nodes {
+            let node = &forest.nodes[i];
+            let kids_demand: Ratio = node.children.iter().map(|&c| &self.demand[c]).sum();
+            let mut slack = &x[i] - &kids_demand;
+            for &c in &node.children {
+                let room = &Ratio::from_i64(self.cap[c]) - &self.demand[c];
+                let take = if slack < room { slack.clone() } else { room };
+                slack -= &take;
+                x[c] = &self.demand[c] + &take;
+            }
+            debug_assert!(!slack.is_negative() && slack <= Ratio::from_i64(node.len()));
+            x[i] = slack;
+        }
+        self.certify(forest, inst, block, x)
+    }
+
+    /// Build the `g`-scaled group/node flow network of `block` for the
+    /// candidate `x`, check `y`-feasibility by max-flow, and harvest the
+    /// exact `y`.
+    ///
+    /// Scaling by `g` makes every capacity integral (each `x(i)` must be a
+    /// multiple of `1/g`): source→G carries `q·p·g`, G→i carries
+    /// `q·(g·x(i))` (constraint (5)), i→sink carries `g·(g·x(i))`
+    /// (constraint (3)). Saturating the source side is exactly
+    /// constraint (2); dividing the harvested flow by `g` yields a
+    /// rational `y` that satisfies the LP verbatim.
+    fn certify(
+        &self,
+        forest: &Forest,
+        inst: &Instance,
+        block: &Block,
+        x: &[Ratio],
+    ) -> Result<Vec<Vec<(usize, Ratio)>>, TreeDecline> {
+        let g = inst.g;
+        // g·x(i) as exact integers, aligned with `block.nodes`.
+        let mut xs = Vec::with_capacity(block.nodes.len());
+        for &i in &block.nodes {
+            let scaled = &x[i] * &Ratio::from_i64(g);
+            if !scaled.is_integer() {
+                return Err(TreeDecline::NonIntegralScale { node: i });
+            }
+            xs.push(scaled.floor().to_i64().ok_or(TreeDecline::Overflow)?);
+        }
+
+        let mut net = FlowNetwork::new(2 + block.groups.len() + block.nodes.len());
+        let (source, sink) = (0usize, 1usize);
+        let forest_node = |k: usize| 2 + block.groups.len() + k;
+
+        let mut demand_total = 0i64;
+        let mut y_edges: Vec<(usize, usize, atsched_flow::EdgeRef)> = Vec::new();
+        for (slot, &gid) in block.groups.iter().enumerate() {
+            let grp = &self.groups[gid];
+            let need = grp
+                .count()
+                .checked_mul(grp.processing)
+                .and_then(|v| v.checked_mul(g))
+                .ok_or(TreeDecline::Overflow)?;
+            demand_total = demand_total.checked_add(need).ok_or(TreeDecline::Overflow)?;
+            net.add_edge(source, 2 + slot, need);
+            for i in forest.descendants(grp.node) {
+                if forest.nodes[i].is_empty() {
+                    continue;
+                }
+                let k = self.local[i];
+                let cap = grp.count().checked_mul(xs[k]).ok_or(TreeDecline::Overflow)?;
+                let e = net.add_edge(2 + slot, forest_node(k), cap);
+                y_edges.push((k, gid, e));
+            }
+        }
+        for (k, &i) in block.nodes.iter().enumerate() {
             if forest.nodes[i].is_empty() {
                 continue;
             }
-            let cap = grp.count().checked_mul(xs[i]).ok_or(TreeDecline::Overflow)?;
-            let e = net.add_edge(group_node(gid), forest_node(i), cap);
-            y_edges.push((i, gid, e));
+            let cap = g.checked_mul(xs[k]).ok_or(TreeDecline::Overflow)?;
+            net.add_edge(forest_node(k), sink, cap);
         }
-    }
-    for (i, &xsi) in xs.iter().enumerate() {
-        if forest.nodes[i].is_empty() {
-            continue;
+
+        if net.max_flow(source, sink) != demand_total {
+            return Err(TreeDecline::FlowInfeasible);
         }
-        let cap = g.checked_mul(xsi).ok_or(TreeDecline::Overflow)?;
-        net.add_edge(forest_node(i), sink, cap);
-    }
 
-    if net.max_flow(source, sink) != demand_total {
-        return Err(TreeDecline::FlowInfeasible);
+        // Harvest y in the (node, ascending-gid) layout the LP projection
+        // produces: groups are visited in ascending id order.
+        let mut y: Vec<Vec<(usize, Ratio)>> = vec![Vec::new(); block.nodes.len()];
+        for (k, gid, e) in y_edges {
+            y[k].push((gid, Ratio::from_frac(net.flow_on(e), g)));
+        }
+        Ok(y)
     }
-
-    // Harvest y in the same (node, ascending-gid) layout the LP
-    // projection produces.
-    let mut y: Vec<Vec<(usize, Ratio)>> = vec![Vec::new(); m];
-    for (i, gid, e) in y_edges {
-        y[i].push((gid, Ratio::from_frac(net.flow_on(e), g)));
-    }
-    for per_node in &mut y {
-        per_node.sort_by_key(|(gid, _)| *gid);
-    }
-
-    let objective: Ratio = x.iter().sum();
-    Ok(FractionalSolution { x: x.to_vec(), y, objective })
 }
 
 #[cfg(test)]
@@ -339,6 +411,7 @@ mod tests {
     use crate::instance::Job;
     use crate::lp_model::build;
     use crate::opt23;
+    use crate::solver::{solve_lp, LpOptimum, LpStrategy, SolverOptions, StageTimings};
 
     type Cases = Vec<(i64, Vec<(i64, i64, i64)>)>;
 
@@ -351,9 +424,28 @@ mod tests {
         (inst, canon, bounds)
     }
 
+    fn dp(inst: &Instance, canon: &Forest, bounds: &OptBounds) -> TreeDp {
+        TreeDp::new(canon, inst, bounds, true, 3)
+    }
+
     fn tree(g: i64, jobs: Vec<(i64, i64, i64)>) -> Result<TreeOutcome, TreeDecline> {
         let (inst, canon, bounds) = prep(g, jobs);
-        solve_tree(&canon, &inst, &bounds, true, 3)
+        dp(&inst, &canon, &bounds).solve(&canon, &inst)
+    }
+
+    /// The LP optimum the [`LpStrategy::Exact`] strategy answers: the
+    /// exact simplex, re-pinned.
+    fn exact_strategy(
+        inst: &Instance,
+        canon: &Forest,
+        bounds: &OptBounds,
+    ) -> FractionalSolution<Ratio> {
+        let opts = SolverOptions { lp: LpStrategy::Exact, ..SolverOptions::exact() };
+        let timings = &mut StageTimings::default();
+        match solve_lp(inst, canon, bounds, &opts, LpStrategy::Exact, timings) {
+            Ok(LpOptimum::Rational(sol, _)) => sol,
+            _ => panic!("the exact strategy answers a rational optimum"),
+        }
     }
 
     #[test]
@@ -378,7 +470,7 @@ mod tests {
     }
 
     #[test]
-    fn solved_instances_match_simplex_bit_for_bit() {
+    fn solved_instances_match_the_exact_strategy_bit_for_bit() {
         let cases: Cases = vec![
             (1, vec![(0, 3, 3)]),
             (2, vec![(0, 2, 1); 3]),
@@ -387,57 +479,87 @@ mod tests {
             (2, vec![(0, 4, 4), (0, 4, 4)]),
             // Two independent roots.
             (2, vec![(0, 2, 1), (0, 2, 1), (0, 2, 1), (10, 12, 1), (10, 12, 1), (10, 12, 1)]),
+            // Slack that several variables could absorb.
+            (2, vec![(0, 10, 2), (1, 6, 2), (2, 5, 1), (7, 9, 1)]),
+            (2, vec![(0, 12, 3), (1, 6, 2), (2, 5, 1), (7, 11, 2)]),
         ];
-        let mut solved = 0usize;
         for (g, jobs) in cases {
             let (inst, canon, bounds) = prep(g, jobs.clone());
-            match solve_tree(&canon, &inst, &bounds, true, 3) {
+            match dp(&inst, &canon, &bounds).solve(&canon, &inst) {
                 Ok(TreeOutcome::Solved(sol)) => {
-                    let lp = build::<Ratio>(&canon, &inst, &bounds);
-                    let simplex = lp.solve().unwrap();
-                    assert_eq!(sol.objective, simplex.objective, "{g} {jobs:?}");
-                    assert_eq!(sol.x, simplex.x, "{g} {jobs:?}");
-                    sol.check(&canon, &inst, &lp.groups).unwrap();
-                    solved += 1;
+                    let exact = exact_strategy(&inst, &canon, &bounds);
+                    assert_eq!(sol.objective, exact.objective, "{g} {jobs:?}");
+                    assert_eq!(sol.x, exact.x, "{g} {jobs:?}");
+                    sol.check(&canon, &inst, &build::<Ratio>(&canon, &inst, &bounds).groups)
+                        .unwrap();
                 }
-                Ok(TreeOutcome::Infeasible) => panic!("feasible case flagged infeasible"),
-                Err(_) => {} // declining is always allowed
+                other => panic!("{g} {jobs:?}: expected solved, got {other:?}"),
             }
         }
-        assert!(solved >= 4, "tree path solved only {solved} of the easy cases");
     }
 
     #[test]
     fn infeasible_instances_are_proven_infeasible() {
-        // Volume 3 > capacity 1·2 within window [0,2).
-        match tree(1, vec![(0, 2, 1); 3]).unwrap() {
-            TreeOutcome::Infeasible => {}
-            other => panic!("expected infeasible, got {other:?}"),
-        }
-    }
-
-    #[test]
-    fn ambiguous_split_declines_instead_of_guessing() {
-        // 5 unit jobs spread over a wide window with two wide children:
-        // the LP optimum 5/2 can place the fractional mass in several
-        // ways, so the tree path must decline, not pick one.
-        let (inst, canon, bounds) = prep(2, vec![(0, 8, 1), (0, 8, 1), (1, 3, 1), (5, 7, 1)]);
-        match solve_tree(&canon, &inst, &bounds, true, 3) {
-            Err(d) => assert_eq!(d.label(), "nonunique"),
-            Ok(TreeOutcome::Solved(sol)) => {
-                // If it *did* pin a unique optimum, it must match simplex.
-                let lp = build::<Ratio>(&canon, &inst, &bounds);
-                let simplex = lp.solve().unwrap();
-                assert_eq!(sol.x, simplex.x);
+        // Volume 3 > capacity 1·2 within window [0,2); the second case
+        // overloads a child window under a root with room to spare.
+        let cases: Cases =
+            vec![(1, vec![(0, 2, 1); 3]), (1, vec![(0, 2, 1), (0, 2, 1), (0, 2, 1), (0, 10, 1)])];
+        for (g, jobs) in cases {
+            match tree(g, jobs.clone()).unwrap() {
+                TreeOutcome::Infeasible => {}
+                other => panic!("{jobs:?}: expected infeasible, got {other:?}"),
             }
-            Ok(TreeOutcome::Infeasible) => panic!("feasible case flagged infeasible"),
         }
     }
 
     #[test]
-    fn decline_labels_are_stable() {
+    fn ambiguous_split_is_pinned_like_the_exact_strategy() {
+        // Unit jobs spread over a wide window with two wide children: the
+        // LP optimum can place the fractional mass in several ways, and
+        // the split rule picks one that the exact strategy re-pins to.
+        let (inst, canon, bounds) = prep(2, vec![(0, 8, 1), (0, 8, 1), (1, 3, 1), (5, 7, 1)]);
+        let Ok(TreeOutcome::Solved(sol)) = dp(&inst, &canon, &bounds).solve(&canon, &inst) else {
+            panic!("the pin answers an ambiguous split");
+        };
+        let exact = exact_strategy(&inst, &canon, &bounds);
+        assert_eq!(sol.objective, exact.objective);
+        assert_eq!(sol.x, exact.x);
+        sol.check(&canon, &inst, &build::<Ratio>(&canon, &inst, &bounds).groups).unwrap();
+    }
+
+    #[test]
+    fn repin_decides_each_root_on_its_own_block() {
+        // Root 0: a p = 4 job around a rigid pair the DP undershoots
+        // (demand 4, optimum 5), which the pin at 5 certifies. Root 1:
+        // an optimum whose pin does not certify, so its block keeps the
+        // simplex vertex.
+        let pinned = vec![(0, 8, 4), (4, 5, 1), (4, 5, 1)];
+        let kept = vec![(10, 22, 4), (10, 19, 1), (20, 22, 1), (20, 22, 1)];
+        let both: Vec<_> = pinned.iter().chain(&kept).copied().collect();
+        let (inst, canon, bounds) = prep(2, both);
+        let tree = dp(&inst, &canon, &bounds);
+        assert_eq!(tree.solve(&canon, &inst).unwrap_err(), TreeDecline::FlowInfeasible);
+        let vertex = build::<Ratio>(&canon, &inst, &bounds).solve().unwrap();
+        let mut sol = vertex.clone();
+        assert_eq!(tree.repin(&canon, &inst, &mut sol), vec![Repin::Pinned, Repin::Kept]);
+        assert_eq!(sol.objective, vertex.objective);
+        sol.check(&canon, &inst, &build::<Ratio>(&canon, &inst, &bounds).groups).unwrap();
+        for i in canon.descendants(canon.roots[1]) {
+            assert_eq!((&sol.x[i], &sol.y[i]), (&vertex.x[i], &vertex.y[i]), "node {i}");
+        }
+
+        // Each root alone re-pins the same way.
+        for (jobs, want) in [(pinned, Repin::Pinned), (kept, Repin::Kept)] {
+            let (inst, canon, bounds) = prep(2, jobs);
+            let mut alone = build::<Ratio>(&canon, &inst, &bounds).solve().unwrap();
+            assert_eq!(dp(&inst, &canon, &bounds).repin(&canon, &inst, &mut alone), vec![want]);
+            assert_eq!(alone.x, exact_strategy(&inst, &canon, &bounds).x);
+        }
+    }
+
+    #[test]
+    fn decline_and_repin_labels_are_stable() {
         for (decline, label) in [
-            (TreeDecline::NonUniqueSplit { node: 0 }, "nonunique"),
             (TreeDecline::FlowInfeasible, "flow"),
             (TreeDecline::NonIntegralScale { node: 0 }, "scale"),
             (TreeDecline::Overflow, "overflow"),
@@ -445,5 +567,7 @@ mod tests {
             assert_eq!(decline.label(), label);
             assert_eq!(decline.counter(), format!("lp.tree_fallback.{label}"));
         }
+        assert_eq!(Repin::Pinned.counter(), "lp.repin.pinned");
+        assert_eq!(Repin::Kept.counter(), "lp.repin.kept");
     }
 }

@@ -1,19 +1,21 @@
 //! Equivalence oracle for the LP-free combinatorial tree path.
 //!
 //! The tree DP's only legal behaviors are (a) solving with a
-//! *bit-identical* exact objective and schedule to the simplex, (b)
-//! proving infeasibility exactly when the simplex does, or (c)
-//! declining — never "solving differently". `lp=certified` (the
+//! *bit-identical* exact objective and schedule to the `lp=exact`
+//! strategy (the simplex, re-pinned root by root by the same split
+//! rule), (b) proving infeasibility exactly when the simplex does, or
+//! (c) declining — never "solving differently". `lp=certified` (the
 //! default, tree first) must therefore be observationally
-//! indistinguishable from the `lp=exact` simplex on every instance,
-//! which is what these properties pin down, over the same dyadic
-//! shrinkable strategy as the pipeline proptests plus the workloads
-//! generators.
+//! indistinguishable from `lp=exact` on every instance, which is what
+//! these properties pin down, over the same dyadic shrinkable strategy
+//! as the pipeline proptests plus the workloads generators: tie-heavy
+//! trees and small multi-root forests among them.
 
 use nested_active_time::core::instance::{Instance, Job};
 use nested_active_time::core::solver::{
     solve_nested, LpAnswer, LpStrategy, SolveError, SolverOptions,
 };
+use nested_active_time::engine::shard::AUTO_MIN_JOBS;
 use nested_active_time::obs;
 use nested_active_time::workloads::families::{shallow_nest, unit_blocks};
 use nested_active_time::workloads::generators::{
@@ -94,6 +96,34 @@ proptest! {
         assert_paths_agree(&random_laminar(&cfg, seed))?;
         let mcfg = MultiRootConfig { roots: 3, ..Default::default() };
         assert_paths_agree(&random_multi_root(&mcfg, seed))?;
+    }
+
+    /// Tie-heavy trees: at g = 2 and short horizons most optima leave
+    /// slack that several nodes could absorb, so nearly every answer is
+    /// the split rule's pin, from the tree or from a re-pinned simplex.
+    #[test]
+    fn prop_tree_path_matches_simplex_on_tie_heavy_trees(
+        horizon in 4i64..=16,
+        seed in any::<u64>(),
+    ) {
+        let cfg = LaminarConfig { g: 2, horizon, ..Default::default() };
+        assert_paths_agree(&random_laminar(&cfg, seed))?;
+    }
+
+    /// Small forests of 2–3 roots, under [`AUTO_MIN_JOBS`] jobs so the
+    /// engine and the facade solve them whole too: one root's block may
+    /// be pinned while another keeps its simplex vertex.
+    #[test]
+    fn prop_tree_path_matches_simplex_on_small_forests(
+        roots in 2usize..=3,
+        g in 1i64..=4,
+        horizon in 4i64..=12,
+        seed in any::<u64>(),
+    ) {
+        let base = LaminarConfig { g, horizon, ..Default::default() };
+        let inst = random_multi_root(&MultiRootConfig { base, roots, gap: 1 }, seed);
+        prop_assume!(inst.num_jobs() < AUTO_MIN_JOBS);
+        assert_paths_agree(&inst)?;
     }
 
     /// The unit-blocks family is 100% tree-handled: the tree DP must
