@@ -12,7 +12,9 @@
 //!   crossbeam channels. Workers pull items as they free up (work
 //!   stealing via the shared MPMC queue), and results are collected back
 //!   in *input order*, so batch output is positionally identical to a
-//!   sequential `map`.
+//!   sequential `map`. The batch and its instances' root fan-outs share
+//!   the workers, so a batch never runs more solver threads than
+//!   [`EngineConfig::workers`].
 //! - **Solve cache** ([`cache`]): memoizes deterministic solve results,
 //!   keyed by the instance's full content (`g` + the exact job sequence)
 //!   plus a fingerprint of the solver options. Content keying — not
