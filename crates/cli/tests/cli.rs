@@ -21,9 +21,17 @@ fn small_instance() -> Instance {
     Instance::new(2, vec![Job::new(0, 4, 2), Job::new(1, 3, 1)]).unwrap()
 }
 
-/// Big enough that its exact LP cannot finish within a 1 ms budget.
+/// A laminar instance whose LP the tree path declines, so the simplex
+/// runs, and runs well past a 1 ms deadline. Sixteen nested windows
+/// hold eight gadgets whose demand the tree DP undershoots: a p = 4 job
+/// in `[a, a + 8)` around two unit jobs in `[a + 4, a + 5)`, demand 4
+/// against an optimum of 5.
 fn heavy_instance() -> Instance {
-    Instance::new(2, vec![Job::new(0, 5000, 100); 40]).unwrap()
+    let mut jobs: Vec<Job> = (0..16).map(|k| Job::new(k, 2000 - k, 3)).collect();
+    for a in (0..8).map(|k| 100 + 10 * k) {
+        jobs.extend([Job::new(a, a + 8, 4), Job::new(a + 4, a + 5, 1), Job::new(a + 4, a + 5, 1)]);
+    }
+    Instance::new(2, jobs).unwrap()
 }
 
 fn infeasible_instance() -> Instance {

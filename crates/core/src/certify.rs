@@ -2,7 +2,7 @@
 //! the triples of Algorithm 2, and the counting/structure lemmas.
 //!
 //! None of this is needed to *run* the 9/5-approximation — feasibility of
-//! the rounded solution is established constructively by max-flow — but
+//! the rounded solution is established constructively by extraction — but
 //! having the analysis executable lets property tests check that the
 //! quantities the proof relies on (Lemma 4.7's case split, Lemma 4.9's
 //! `n₂ ≥ 2n₁` count, Lemma 4.11's triple structure) actually hold on

@@ -3,8 +3,8 @@
 //! Disjoint root windows of the laminar forest are fully independent
 //! subproblems: no job window spans two trees, the strengthened LP is
 //! block-diagonal across trees, the Lemma 3.1 push-down and Algorithm 1
-//! rounding act tree-locally, and max-flow extraction never routes a job
-//! into another tree's slots. So an instance can be split at the forest
+//! rounding act tree-locally, and extraction never routes a job into
+//! another tree's slots. So an instance can be split at the forest
 //! roots, each piece solved on its own, and the results reassembled —
 //! opening exactly the slots the monolithic solve would.
 //!

@@ -24,8 +24,9 @@
 //!    the positive nodes form the antichain `I`.
 //! 5. [`rounding`] — Algorithm 1: floor on `I`, then bottom-up round-ups
 //!    within the `(9/5)·x(Des(i))` budget.
-//! 6. [`feasibility`] / [`schedule`] — max-flow based schedule extraction
-//!    and an independent verifier.
+//! 6. [`feasibility`] / [`schedule`] — schedule extraction by the laminar
+//!    greedy (exact on laminar windows; Dinic's max-flow stays as the
+//!    oracle) and an independent verifier.
 //! 7. [`certify`] — an executable version of the paper's *analysis*
 //!    (node types B/C₁/C₂, the triples of Algorithm 2, Lemmas 4.7–4.13),
 //!    used as a test oracle.

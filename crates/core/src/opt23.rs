@@ -13,7 +13,12 @@
 //!   pair from the candidate set `{r_j, r_j + 1}` works, and a pair
 //!   `(t₁, t₂)` is checked by a closed-form Hall condition — no flow
 //!   needed for two slots.
+//!
+//! The deeper oracle ([`compute_deep`]) enumerates slot combinations and
+//! checks each with the laminar greedy ([`Laminar::feasible`]): the
+//! subtree's windows are node intervals, which are laminar.
 
+use crate::feasibility::Laminar;
 use crate::instance::Instance;
 use crate::tree::Forest;
 
@@ -129,13 +134,14 @@ fn at_most_k_slots(g: i64, windows: &[(i64, i64, i64)], k: i64) -> Option<bool> 
     }
     let mut budget = COMBO_BUDGET;
     let mut pick: Vec<i64> = Vec::with_capacity(k as usize);
-    combo_search(g, windows, k as usize, &cands, 0, &mut pick, &mut budget)
+    let laminar = Laminar::new(windows);
+    combo_search(g, &laminar, k as usize, &cands, 0, &mut pick, &mut budget)
 }
 
 /// DFS over slot combinations; `None` when the budget is exhausted.
 fn combo_search(
     g: i64,
-    windows: &[(i64, i64, i64)],
+    laminar: &Laminar,
     k: usize,
     cands: &[i64],
     start: usize,
@@ -147,14 +153,14 @@ fn combo_search(
             return None;
         }
         *budget -= 1;
-        return Some(slots_schedulable(g, windows, pick));
+        return Some(laminar.feasible(g, pick));
     }
     for idx in start..cands.len() {
         if cands.len() - idx < k - pick.len() {
             break;
         }
         pick.push(cands[idx]);
-        match combo_search(g, windows, k, cands, idx + 1, pick, budget) {
+        match combo_search(g, laminar, k, cands, idx + 1, pick, budget) {
             Some(true) => {
                 pick.pop();
                 return Some(true);
@@ -168,26 +174,6 @@ fn combo_search(
         pick.pop();
     }
     Some(false)
-}
-
-/// Flow feasibility of a fixed slot set for windowed jobs.
-fn slots_schedulable(g: i64, windows: &[(i64, i64, i64)], slots: &[i64]) -> bool {
-    use atsched_flow::FlowNetwork;
-    let n = windows.len();
-    let mut net = FlowNetwork::new(2 + n + slots.len());
-    let volume: i64 = windows.iter().map(|w| w.2).sum();
-    for (j, &(r, d, p)) in windows.iter().enumerate() {
-        net.add_edge(0, 2 + j, p);
-        for (s, &t) in slots.iter().enumerate() {
-            if r <= t && t < d {
-                net.add_edge(2 + j, 2 + n + s, 1);
-            }
-        }
-    }
-    for s in 0..slots.len() {
-        net.add_edge(2 + n + s, 1, g);
-    }
-    net.max_flow(0, 1) == volume
 }
 
 /// Can all jobs `(r, d, p)` run in a single common slot?

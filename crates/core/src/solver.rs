@@ -1,8 +1,9 @@
 //! The end-to-end 9/5-approximation solver (Theorem 4.15).
 //!
 //! Pipeline: window forest → canonical forest → strengthened LP →
-//! Lemma 3.1 push-down → Algorithm 1 rounding → max-flow schedule
-//! extraction → independent verification.
+//! Lemma 3.1 push-down → Algorithm 1 rounding → schedule extraction by
+//! the laminar greedy ([`crate::feasibility::Laminar`], no max-flow) →
+//! independent verification.
 //!
 //! The LP stage is picked by one knob, [`LpStrategy`]. The default,
 //! [`LpStrategy::Certified`], tries the combinatorial tree DP, then the
@@ -20,7 +21,7 @@
 //! `solver.certified_repair_fallbacks`.
 
 use crate::canonical::canonicalize;
-use crate::feasibility::{counts_to_slots, extract_assignment};
+use crate::feasibility::{counts_to_slots, Laminar};
 use crate::instance::Instance;
 use crate::lp_model::{build_opts, NestedLpError};
 use crate::opt23;
@@ -240,7 +241,7 @@ pub struct StageTimings {
     pub transform: Duration,
     /// Algorithm 1 rounding.
     pub round: Duration,
-    /// Slot materialization, max-flow extraction, repair and polish.
+    /// Slot materialization, greedy extraction, repair and polish.
     pub extract: Duration,
     /// Independent final verification.
     pub verify: Duration,
@@ -369,6 +370,7 @@ pub fn solve_nested(inst: &Instance, opts: &SolverOptions) -> Result<SolveResult
     let forest = Forest::build(inst).map_err(SolveError::Instance)?;
     let nodes_original = forest.num_nodes();
     let canon = canonicalize(&forest, inst);
+    drop(forest); // inside the stage clock
     let bounds = opt23::compute(&canon, inst);
     let mut timings = StageTimings { canonicalize: stage.elapsed(), ..StageTimings::default() };
     drop(span);
@@ -386,8 +388,8 @@ pub fn solve_nested(inst: &Instance, opts: &SolverOptions) -> Result<SolveResult
 
 /// Whether a certified answer must be re-solved under
 /// [`LpStrategy::Exact`]: it needed repair slots, which an exact LP
-/// optimum never does (Theorem 4.5; Lemma 4.1 makes max-flow extraction
-/// of the rounded counts an exact feasibility test). Float answers
+/// optimum never does (Theorem 4.5; Lemma 4.1 makes extraction of the
+/// rounded counts an exact feasibility test). Float answers
 /// repair by design, and exact ones have nothing to fall back to.
 fn falls_back_to_exact(stats: &SolveStats) -> bool {
     stats.repair_opened > 0 && matches!(stats.lp_answer, LpAnswer::Tree | LpAnswer::Hybrid)
@@ -519,11 +521,10 @@ fn round_and_extract<S: Scalar>(
     lp_answer: LpAnswer,
     mut timings: StageTimings,
 ) -> SolveResult {
-    let lp_objective = sol.objective.to_f64();
-    let lp_exact = exact_objective_string(&sol.objective);
-
     let stage = Instant::now();
     let span = obs::Span::enter("transform");
+    let lp_objective = sol.objective.to_f64();
+    let lp_exact = exact_objective_string(&sol.objective);
     let transformed = push_down(&canon, sol);
     debug_assert!(crate::transform::check_claim1(
         &canon,
@@ -536,13 +537,16 @@ fn round_and_extract<S: Scalar>(
 
     let stage = Instant::now();
     let span = obs::Span::enter("round");
-    let rounded = crate::rounding::round_with(
+    let mut rounded = crate::rounding::round_with(
         &canon,
         &transformed.solution,
         &transformed.top_positive,
         opts.round_choice,
     );
     debug_assert!(check_budget(&canon, &transformed.solution, &rounded).is_ok());
+    let (transform_moves, rounded_up) = (transformed.moves, rounded.rounded_up.len());
+    let mut z = std::mem::take(&mut rounded.z);
+    drop((transformed, rounded)); // inside the stage clock
     timings.round = stage.elapsed();
     drop(span);
 
@@ -550,12 +554,12 @@ fn round_and_extract<S: Scalar>(
     let span = obs::Span::enter("extract");
     // Materialize and extract; repair only if extraction falls short
     // (never on the exact path — Theorem 4.5).
-    let mut z = rounded.z.clone();
+    let laminar = Laminar::of(inst);
     let mut repair_opened = 0i64;
-    let assignment = loop {
+    let (slots, assignment) = loop {
         let slots = counts_to_slots(&canon, &z);
-        if let Some(a) = extract_assignment(inst, &slots) {
-            break a;
+        if let Some(a) = laminar.assign(inst.g, &slots) {
+            break (slots, a);
         }
         // Open one more slot at the node with spare own slots that most
         // increases schedulable volume (greedy repair).
@@ -577,7 +581,6 @@ fn round_and_extract<S: Scalar>(
         repair_opened += 1;
     };
 
-    let slots = counts_to_slots(&canon, &z);
     let mut schedule = Schedule::new(slots, assignment);
     let opened_before_polish: i64 = z.iter().sum();
 
@@ -590,7 +593,7 @@ fn round_and_extract<S: Scalar>(
         while idx < open.len() {
             let mut trial = open.clone();
             trial.remove(idx);
-            if crate::feasibility::slots_feasible(inst, &trial) {
+            if laminar.feasible(inst.g, &trial) {
                 open = trial;
                 polish_closed += 1;
             } else {
@@ -599,10 +602,11 @@ fn round_and_extract<S: Scalar>(
         }
         if polish_closed > 0 {
             let assignment =
-                extract_assignment(inst, &open).expect("polish only keeps feasible sets");
+                laminar.assign(inst.g, &open).expect("polish only keeps feasible sets");
             schedule = Schedule::new(open, assignment);
         }
     }
+    drop(laminar); // inside the stage clock
 
     if opts.compact {
         schedule.compact();
@@ -622,8 +626,8 @@ fn round_and_extract<S: Scalar>(
         nodes_canonical: canon.num_nodes(),
         lp_objective,
         lp_objective_exact: lp_exact,
-        transform_moves: transformed.moves,
-        rounded_up: rounded.rounded_up.len(),
+        transform_moves,
+        rounded_up,
         opened_slots,
         active_slots: schedule.active_time(),
         repair_opened,
@@ -876,8 +880,8 @@ mod tests {
         assert_eq!(spans, vec![1, 0]);
 
         // A demand the DP undershoots (4 against an optimum of 5, the
-        // p = 4 job cannot share the rigid pair's slot): the pin fails the
-        // flow check, the tree declines and the hybrid simplex answers,
+        // p = 4 job cannot share the rigid pair's slot): the pin fails
+        // certification, the tree declines and the hybrid simplex answers,
         // each attempt under its own span.
         let undershot = inst(2, vec![(0, 8, 4), (4, 5, 1), (4, 5, 1)]);
         let (declined, spans) = solve_traced(&undershot, &["lp", "lp.tree_declined"]);

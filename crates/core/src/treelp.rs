@@ -17,9 +17,10 @@
 //! `x`-projection, and with the root total fixed the pin is that
 //! relaxation's lexicographic optimum (node by node in topological
 //! order: minimum own `x`, then maximum children's totals in index
-//! order). A pin that a `g`-scaled integral max-flow certifies (the
-//! Lemma 4.1 network over job groups, which also harvests an exact `y`)
-//! is LP-feasible, so it is the LP's own lexicographic optimum at that
+//! order). A pin that the laminar greedy certifies
+//! ([`GroupTree::certify`]: the `g`-scaled Lemma 4.1 network over job
+//! groups, seen as micro-slots, which also yields an exact `y`) is
+//! LP-feasible, so it is the LP's own lexicographic optimum at that
 //! total, whichever computation found the total.
 //!
 //! The pin runs twice:
@@ -36,15 +37,15 @@
 //! infeasible (`D(i) > M(i)` somewhere), or declines with a typed
 //! [`TreeDecline`] — a demand DP that undershoots the true optimum
 //! (possible: constraints (3) and (5) can bind through nodes the DP does
-//! not model, such as a child saturated by its own jobs) fails the flow
-//! check — and the caller falls back to simplex. A decline is never a
-//! verdict.
+//! not model, such as a child saturated by its own jobs) fails the
+//! certification — and the caller falls back to simplex. A decline is
+//! never a verdict.
 
+use crate::feasibility::GroupTree;
 use crate::instance::Instance;
 use crate::lp_model::{group_jobs, FractionalSolution, JobGroup};
 use crate::opt23::OptBounds;
 use crate::tree::Forest;
-use atsched_flow::FlowNetwork;
 use atsched_num::Ratio;
 
 /// Why the tree path declined an instance (the caller falls back to
@@ -55,8 +56,8 @@ pub enum TreeDecline {
     /// the LP optimum; e.g. constraint (5) binding through an empty or
     /// saturated node).
     FlowInfeasible,
-    /// A pinned `x(i)` is not an integer multiple of `1/g` (cannot build
-    /// the integral certification network).
+    /// A pinned `x(i)` is not an integer multiple of `1/g` (the
+    /// certification counts `g·x(i)` micro-slots).
     NonIntegralScale {
         /// The node with the non-`1/g`-integral value.
         node: usize,
@@ -123,8 +124,8 @@ impl Repin {
 /// A successful tree-path outcome.
 #[derive(Debug, Clone)]
 pub enum TreeOutcome {
-    /// The pinned LP optimum, with `y` harvested from the certification
-    /// flow. Bit-identical (in `x` and objective) to what the exact
+    /// The pinned LP optimum, with the `y` its certification found.
+    /// Bit-identical (in `x` and objective) to what the exact
     /// strategy returns after its re-pin.
     Solved(FractionalSolution<Ratio>),
     /// `D(i) > M(i)` for some node: demanded open mass exceeds the
@@ -132,17 +133,7 @@ pub enum TreeOutcome {
     Infeasible,
 }
 
-/// One root's subtree: a diagonal block of the LP.
-#[derive(Debug)]
-struct Block {
-    root: usize,
-    /// The subtree's nodes in preorder (parents before children).
-    nodes: Vec<usize>,
-    /// Ids of the job groups whose node lies in the subtree, ascending.
-    groups: Vec<usize>,
-}
-
-/// The demand DP of a canonical forest: everything the pin and its flow
+/// The demand DP of a canonical forest: everything the pin and its
 /// certificate need, computed once per solve.
 #[derive(Debug)]
 pub struct TreeDp {
@@ -153,9 +144,8 @@ pub struct TreeDp {
     cap: Vec<i64>,
     /// Some node has `D(i) > M(i)`.
     infeasible: bool,
-    blocks: Vec<Block>,
-    /// Each node's index in its block's `nodes`.
-    local: Vec<usize>,
+    /// One root's subtree each: the LP's diagonal blocks.
+    blocks: Vec<GroupTree>,
 }
 
 impl TreeDp {
@@ -223,26 +213,11 @@ impl TreeDp {
             infeasible |= demand[i] > Ratio::from_i64(cap[i]);
         }
 
-        // --- The diagonal blocks: one per root. ---
-        let mut local = vec![0usize; m];
-        let mut block_of = vec![0usize; m];
-        let mut blocks: Vec<Block> = Vec::with_capacity(forest.roots.len());
-        for (b, &root) in forest.roots.iter().enumerate() {
-            let nodes = forest.descendants(root);
-            for (k, &i) in nodes.iter().enumerate() {
-                local[i] = k;
-                block_of[i] = b;
-            }
-            blocks.push(Block { root, nodes, groups: Vec::new() });
-        }
-        for (gid, grp) in groups.iter().enumerate() {
-            blocks[block_of[grp.node]].groups.push(gid);
-        }
-
-        TreeDp { groups, demand, cap, infeasible, blocks, local }
+        let blocks = GroupTree::forest(forest, &groups);
+        TreeDp { groups, demand, cap, infeasible, blocks }
     }
 
-    /// The tree attempt: pin every root at `D(root)` and flow-certify it.
+    /// The tree attempt: pin every root at `D(root)` and certify it.
     ///
     /// Returns the LP optimum, proves the instance infeasible, or
     /// declines at the first root whose pin does not certify.
@@ -254,13 +229,25 @@ impl TreeDp {
         let mut x = vec![Ratio::from_i64(0); m];
         let mut y = vec![Vec::new(); m];
         for block in &self.blocks {
-            let harvested = self.pin(forest, inst, block, &self.demand[block.root], &mut x)?;
-            for (&i, yi) in block.nodes.iter().zip(harvested) {
+            self.split(forest, block, &self.demand[block.root()], &mut x);
+            let harvested = block.certify(forest, &self.groups, inst.g, &x)?;
+            for (&i, yi) in block.nodes().iter().zip(harvested) {
                 y[i] = yi;
             }
         }
-        let objective = self.blocks.iter().map(|b| &self.demand[b.root]).sum();
+        let objective = self.blocks.iter().map(|b| &self.demand[b.root()]).sum();
         Ok(TreeOutcome::Solved(FractionalSolution { x, y, objective }))
+    }
+
+    /// The tree attempt's candidate, certified or not: every root pinned
+    /// at `D(root)`. Meaningful only when no node has `D(i) > M(i)`
+    /// ([`TreeOutcome::Infeasible`]).
+    pub fn pinned(&self, forest: &Forest) -> Vec<Ratio> {
+        let mut x = vec![Ratio::from_i64(0); forest.num_nodes()];
+        for block in &self.blocks {
+            self.split(forest, block, &self.demand[block.root()], &mut x);
+        }
+        x
     }
 
     /// Re-pin a simplex optimum root by root, each at that root's own
@@ -279,10 +266,11 @@ impl TreeDp {
         let mut x = sol.x.clone();
         let mut outcomes = Vec::with_capacity(self.blocks.len());
         for block in &self.blocks {
-            let total: Ratio = block.nodes.iter().map(|&i| &sol.x[i]).sum();
-            let outcome = match self.pin(forest, inst, block, &total, &mut x) {
+            let total: Ratio = block.nodes().iter().map(|&i| &sol.x[i]).sum();
+            self.split(forest, block, &total, &mut x);
+            let outcome = match block.certify(forest, &self.groups, inst.g, &x) {
                 Ok(harvested) => {
-                    for (&i, yi) in block.nodes.iter().zip(harvested) {
+                    for (&i, yi) in block.nodes().iter().zip(harvested) {
                         sol.x[i] = x[i].clone();
                         sol.y[i] = yi;
                     }
@@ -295,25 +283,16 @@ impl TreeDp {
         outcomes
     }
 
-    /// Pin `block` at root total `total` into `x` by the split rule, then
-    /// flow-certify it. Returns the harvested `y` of each block node
-    /// (aligned with `block.nodes`), or why the pin does not certify.
+    /// Pin `block` at root total `total` into `x` by the split rule.
     ///
     /// `total` must lie in `[D(root), M(root)]`, as every LP-feasible
     /// total does; then every child total stays in `[D(c), M(c)]` and
     /// every own `x` in `[0, L]`.
-    fn pin(
-        &self,
-        forest: &Forest,
-        inst: &Instance,
-        block: &Block,
-        total: &Ratio,
-        x: &mut [Ratio],
-    ) -> Result<Vec<Vec<(usize, Ratio)>>, TreeDecline> {
+    fn split(&self, forest: &Forest, block: &GroupTree, total: &Ratio, x: &mut [Ratio]) {
         // Preorder visits a parent before its children, so `x[c]` holds
         // child `c`'s subtree total until `c` itself is split.
-        x[block.root] = total.clone();
-        for &i in &block.nodes {
+        x[block.root()] = total.clone();
+        for &i in block.nodes() {
             let node = &forest.nodes[i];
             let kids_demand: Ratio = node.children.iter().map(|&c| &self.demand[c]).sum();
             let mut slack = &x[i] - &kids_demand;
@@ -326,81 +305,6 @@ impl TreeDp {
             debug_assert!(!slack.is_negative() && slack <= Ratio::from_i64(node.len()));
             x[i] = slack;
         }
-        self.certify(forest, inst, block, x)
-    }
-
-    /// Build the `g`-scaled group/node flow network of `block` for the
-    /// candidate `x`, check `y`-feasibility by max-flow, and harvest the
-    /// exact `y`.
-    ///
-    /// Scaling by `g` makes every capacity integral (each `x(i)` must be a
-    /// multiple of `1/g`): source→G carries `q·p·g`, G→i carries
-    /// `q·(g·x(i))` (constraint (5)), i→sink carries `g·(g·x(i))`
-    /// (constraint (3)). Saturating the source side is exactly
-    /// constraint (2); dividing the harvested flow by `g` yields a
-    /// rational `y` that satisfies the LP verbatim.
-    fn certify(
-        &self,
-        forest: &Forest,
-        inst: &Instance,
-        block: &Block,
-        x: &[Ratio],
-    ) -> Result<Vec<Vec<(usize, Ratio)>>, TreeDecline> {
-        let g = inst.g;
-        // g·x(i) as exact integers, aligned with `block.nodes`.
-        let mut xs = Vec::with_capacity(block.nodes.len());
-        for &i in &block.nodes {
-            let scaled = &x[i] * &Ratio::from_i64(g);
-            if !scaled.is_integer() {
-                return Err(TreeDecline::NonIntegralScale { node: i });
-            }
-            xs.push(scaled.floor().to_i64().ok_or(TreeDecline::Overflow)?);
-        }
-
-        let mut net = FlowNetwork::new(2 + block.groups.len() + block.nodes.len());
-        let (source, sink) = (0usize, 1usize);
-        let forest_node = |k: usize| 2 + block.groups.len() + k;
-
-        let mut demand_total = 0i64;
-        let mut y_edges: Vec<(usize, usize, atsched_flow::EdgeRef)> = Vec::new();
-        for (slot, &gid) in block.groups.iter().enumerate() {
-            let grp = &self.groups[gid];
-            let need = grp
-                .count()
-                .checked_mul(grp.processing)
-                .and_then(|v| v.checked_mul(g))
-                .ok_or(TreeDecline::Overflow)?;
-            demand_total = demand_total.checked_add(need).ok_or(TreeDecline::Overflow)?;
-            net.add_edge(source, 2 + slot, need);
-            for i in forest.descendants(grp.node) {
-                if forest.nodes[i].is_empty() {
-                    continue;
-                }
-                let k = self.local[i];
-                let cap = grp.count().checked_mul(xs[k]).ok_or(TreeDecline::Overflow)?;
-                let e = net.add_edge(2 + slot, forest_node(k), cap);
-                y_edges.push((k, gid, e));
-            }
-        }
-        for (k, &i) in block.nodes.iter().enumerate() {
-            if forest.nodes[i].is_empty() {
-                continue;
-            }
-            let cap = g.checked_mul(xs[k]).ok_or(TreeDecline::Overflow)?;
-            net.add_edge(forest_node(k), sink, cap);
-        }
-
-        if net.max_flow(source, sink) != demand_total {
-            return Err(TreeDecline::FlowInfeasible);
-        }
-
-        // Harvest y in the (node, ascending-gid) layout the LP projection
-        // produces: groups are visited in ascending id order.
-        let mut y: Vec<Vec<(usize, Ratio)>> = vec![Vec::new(); block.nodes.len()];
-        for (k, gid, e) in y_edges {
-            y[k].push((gid, Ratio::from_frac(net.flow_on(e), g)));
-        }
-        Ok(y)
     }
 }
 

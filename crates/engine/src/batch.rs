@@ -678,9 +678,12 @@ mod tests {
         // The simplex really pivoted and the LP layer saw solves.
         assert!(snap.counter("lp.pivots").unwrap_or(0) > 0, "{snap:?}");
         assert!(snap.counter("lp.solves").unwrap_or(0) > 0, "{snap:?}");
-        // Extraction ran max-flow feasibility checks.
+        // Certification and extraction ran on the laminar greedy, which
+        // counts as the flow layer, and no max-flow ran on this path.
         assert!(snap.counter("flow.max_flow_calls").unwrap_or(0) > 0, "{snap:?}");
         assert!(snap.counter("flow.augmenting_paths").unwrap_or(0) > 0, "{snap:?}");
+        assert!(snap.counter("flow.laminar_calls").unwrap_or(0) > 0, "{snap:?}");
+        assert_eq!(snap.counter("flow.bfs_phases"), None, "{snap:?}");
         // 4 non-cached solver runs, each with one answering `lp` span
         // (the infeasible one is proven infeasible by the tree DP); the
         // declined tree attempt of the fallback gets its own span.

@@ -3,7 +3,7 @@
 //!
 //! The server and its engine write into one [`Registry`]: request
 //! counters land under `serve.*`, solver internals (simplex pivots,
-//! Dinic augmentations, stage spans) under their own prefixes, and the
+//! flow augmentations, stage spans) under their own prefixes, and the
 //! `stats` verb ships the whole registry snapshot over the wire
 //! alongside the typed [`StatsReply`] fields.
 

@@ -41,10 +41,17 @@ fn corpus() -> Vec<(Instance, Option<u64>)> {
     out
 }
 
-/// A laminar instance big enough that its exact LP cannot finish within
-/// a 1 ms deadline.
+/// A laminar instance whose LP the tree path declines, so the simplex
+/// runs, and runs well past a 1 ms deadline. Sixteen nested windows
+/// hold eight gadgets whose demand the tree DP undershoots: a p = 4 job
+/// in `[a, a + 8)` around two unit jobs in `[a + 4, a + 5)`, demand 4
+/// against an optimum of 5.
 fn heavy_instance() -> Instance {
-    Instance::new(2, vec![Job::new(0, 5000, 100); 40]).unwrap()
+    let mut jobs: Vec<Job> = (0..16).map(|k| Job::new(k, 2000 - k, 3)).collect();
+    for a in (0..8).map(|k| 100 + 10 * k) {
+        jobs.extend([Job::new(a, a + 8, 4), Job::new(a + 4, a + 5, 1), Job::new(a + 4, a + 5, 1)]);
+    }
+    Instance::new(2, jobs).unwrap()
 }
 
 #[test]
@@ -317,7 +324,8 @@ fn soak_eight_clients_match_sequential_solves_and_drain_cleanly() {
     assert_eq!(latency.max, snapshot.latency_ms.max);
     // Engine outcome counters reconcile with the engine totals, and the
     // solver stack's own instrumentation crossed the wire too: the
-    // corpus is LP-bound, so the simplex pivoted and Dinic augmented.
+    // corpus is LP-bound, so the simplex pivoted, and the laminar greedy
+    // that certifies and extracts counted its augmentations.
     assert_eq!(reg.counter("engine.outcome.solved"), Some(snapshot.engine.solved));
     assert_eq!(reg.counter("engine.outcome.infeasible"), Some(snapshot.engine.infeasible));
     assert!(reg.counter("lp.pivots").unwrap_or(0) > 0, "{reg:?}");
