@@ -897,6 +897,24 @@ mod tests {
     }
 
     #[test]
+    fn hybrid_stages_are_traced_under_the_lp_span() {
+        // The gadget the tree declines (demand 4 against an optimum of
+        // 5): the hybrid answers, one sample in each stage's span, and
+        // nothing falls back.
+        let gadget = inst(2, vec![(0, 8, 4), (4, 5, 1), (4, 5, 1)]);
+        let stages = [
+            "lp.hybrid.presolve",
+            "lp.hybrid.walk",
+            "lp.hybrid.rederive",
+            "lp.hybrid.certify",
+            "lp.hybrid.fallback",
+        ];
+        let (r, spans) = solve_traced(&gadget, &stages);
+        assert_eq!(r.stats.lp_answer, LpAnswer::Hybrid);
+        assert_eq!(spans, vec![1, 1, 1, 1, 0]);
+    }
+
+    #[test]
     fn lp_answer_names_the_strategy_attempt() {
         let i = inst(2, vec![(0, 12, 3), (1, 6, 2), (2, 5, 1), (7, 11, 2)]);
         let answer =

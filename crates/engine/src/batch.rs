@@ -732,16 +732,18 @@ mod tests {
             .with_trace(std::sync::Arc::clone(&trace));
         engine.solve_batch(&small_corpus(), &SolverOptions::exact());
         let events = trace.events();
-        // Two tree-solved solves × 7 spans, one simplex fallback × 8
-        // spans (its declined tree attempt is `lp.tree_declined`), and
-        // the infeasible instance × 3 spans (the tree DP proves
+        // Two tree-solved solves × 7 spans, one simplex fallback × 12
+        // spans (its declined tree attempt is `lp.tree_declined`, and
+        // the hybrid simplex runs four `lp.hybrid.*` stages), and the
+        // infeasible instance × 3 spans (the tree DP proves
         // infeasibility inside its `lp` span); the cache hit skips the
         // solver entirely.
-        assert_eq!(events.len(), 25, "{events:?}");
+        assert_eq!(events.len(), 29, "{events:?}");
         let json = trace.to_chrome_json();
         assert!(json.contains("\"name\":\"solve\""));
         assert!(json.contains("\"name\":\"lp\""));
         assert!(json.contains("\"name\":\"lp.tree_declined\""));
+        assert!(json.contains("\"name\":\"lp.hybrid.walk\""));
         assert!(json.contains("\"ph\":\"X\""));
     }
 

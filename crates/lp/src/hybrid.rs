@@ -8,10 +8,12 @@
 //! 2. run the two-phase simplex on an `f64` image of the reduced model
 //!    and keep only the final basis — a purely combinatorial object;
 //! 3. re-derive the primal/dual pair for that basis in exact arithmetic
-//!    ([`crate::verify`]): two dense Gaussian solves, no pivoting;
-//! 4. certify the pair with [`Model::check_duality`] — exact primal
-//!    feasibility, dual feasibility, and strong duality (which implies
-//!    complementary slackness). A certified pair proves the re-derived
+//!    ([`crate::verify`]): one sparse factorization of the structural
+//!    core solves both systems, no pivoting;
+//! 4. certify the pair — exact primal feasibility (checked by the
+//!    re-derivation), dual feasibility, and strong duality (which
+//!    implies complementary slackness), the conditions of
+//!    [`Model::check_duality`]. A certified pair proves the re-derived
 //!    point is an exact optimum, so the **objective is bit-identical**
 //!    to what the cold exact simplex would return. The *vertex* is not
 //!    required to be unique — nested active-time LPs are massively
@@ -33,6 +35,11 @@
 //!    `lp.hybrid_fallbacks` (with a per-reason breakdown under
 //!    `lp.hybrid_fallback.*`); verified fast paths under
 //!    `lp.hybrid_verified`.
+//!
+//! Each stage runs under its own span: `lp.hybrid.presolve`,
+//! `lp.hybrid.walk` (the `f64` image and its simplex),
+//! `lp.hybrid.rederive`, `lp.hybrid.certify` and, around the exact
+//! re-run, `lp.hybrid.fallback`.
 
 use crate::model::{Constraint, LpError, LpStatus, Model, Solution, SolveInfo};
 use crate::presolve::{inflate, presolve};
@@ -117,7 +124,10 @@ fn solve_hybrid_impl(
     obs::counter_add("lp.solves", 1);
     let mut info =
         SolveInfo { vars: model.num_vars(), rows: model.num_constraints(), ..SolveInfo::default() };
-    let pre = match presolve(model) {
+    let span = obs::Span::enter("lp.hybrid.presolve");
+    let presolved = presolve(model);
+    drop(span);
+    let pre = match presolved {
         Err(()) => {
             // Presolve is exact: this infeasibility needs no float input
             // and no fallback.
@@ -139,13 +149,15 @@ fn solve_hybrid_impl(
     obs::counter_add("lp.presolve_rows_dropped", pre.rows_dropped as u64);
 
     // --- fast path: float solve, exact re-derivation, certificate ----------
-    let fmodel = to_f64_model(&pre.model);
     let mut reduced: Option<Solution<Ratio>> = None;
     let mut reason: Option<FallbackReason> = None;
     // Equilibration off: the probe must walk the *same* LP as the exact
     // solver for the tie-suspect guard to imply vertex identity (see
     // [`solve_core_with`]).
-    match solve_core_with(&fmodel, false, false) {
+    let span = obs::Span::enter("lp.hybrid.walk");
+    let walk = solve_core_with(&to_f64_model(&pre.model), false, false);
+    drop(span);
+    match walk {
         Err(LpError::IterationLimit) => reason = Some(FallbackReason::FloatIterationLimit),
         Ok(core) => {
             info.pivots += core.pivots;
@@ -159,14 +171,17 @@ fn solve_hybrid_impl(
                 reason = Some(FallbackReason::TieSuspect);
             } else {
                 let fb = core.basis.expect("optimal core solve carries a basis");
-                match rederive(&pre.model, &fb) {
+                let span = obs::Span::enter("lp.hybrid.rederive");
+                let rederived = rederive(&pre.model, &fb);
+                drop(span);
+                match rederived {
                     Err(e) => reason = Some(FallbackReason::Verify(e)),
                     Ok(red) => {
                         // `rederive` already proved exact primal
-                        // feasibility; `check_duality` adds dual
-                        // feasibility and strong duality, which together
-                        // certify optimality.
-                        match pre.model.check_duality(&red.solution, &red.duals) {
+                        // feasibility; dual feasibility and strong
+                        // duality complete the certificate.
+                        let _span = obs::Span::enter("lp.hybrid.certify");
+                        match pre.model.check_dual(&red.solution, &red.duals) {
                             Ok(()) => reduced = Some(red.solution),
                             Err(msg) => reason = Some(FallbackReason::Certificate(msg)),
                         }
@@ -197,7 +212,9 @@ fn solve_hybrid_impl(
         },
         1,
     );
+    let span = obs::Span::enter("lp.hybrid.fallback");
     let core = solve_core(&pre.model, false)?;
+    drop(span);
     info.pivots += core.pivots;
     let solution = match core.solution.status {
         LpStatus::Optimal => {
@@ -214,16 +231,14 @@ fn solve_hybrid_impl(
     Ok((solution, info, HybridOutcome::Fallback(reason)))
 }
 
-/// Lossy image of an exact model, used only to pick a basis. Any damage
-/// the conversion does (overflow to ±inf, sub-tolerance coefficients
-/// rounding to zero) is caught by the exact verification and routed to
-/// the fallback.
+/// Lossy, unnamed image of an exact model, used only to pick a basis.
+/// Any damage the conversion does (overflow to ±inf, sub-tolerance
+/// coefficients rounding to zero) is caught by the exact verification
+/// and routed to the fallback.
 fn to_f64_model(m: &Model<Ratio>) -> Model<f64> {
-    Model {
-        names: m.names.clone(),
-        objective: m.objective.iter().map(Ratio::to_f64).collect(),
-        constraints: m
-            .constraints
+    Model::unnamed(
+        m.objective.iter().map(Ratio::to_f64).collect(),
+        m.constraints
             .iter()
             .map(|c| Constraint {
                 terms: c.terms.iter().map(|(i, v)| (*i, v.to_f64())).collect(),
@@ -231,7 +246,7 @@ fn to_f64_model(m: &Model<Ratio>) -> Model<f64> {
                 rhs: c.rhs.to_f64(),
             })
             .collect(),
-    }
+    )
 }
 
 #[cfg(test)]

@@ -1,7 +1,8 @@
 //! # atsched-lp
 //!
-//! A from-scratch linear-programming toolkit: a model builder and a dense
-//! two-phase primal simplex solver, generic over the scalar field.
+//! A from-scratch linear-programming toolkit: a model builder and a
+//! two-phase primal simplex solver over a dense tableau, generic over
+//! the scalar field.
 //!
 //! The nested active-time 9/5-approximation (Cao et al., SPAA 2022) begins
 //! by solving the strengthened LP of Figure 1(a). No LP solver exists in
@@ -13,16 +14,17 @@
 //!   returned optimum is *bit-for-bit exact*. This is what the reference
 //!   rounding pipeline consumes: every comparison the paper's Algorithm 1
 //!   makes (`x(i) < L(i)`, `9·x(Des(i)) ≥ 5(x̃+1)`, …) is decided exactly.
-//! * `f64` — fast approximate solving for large parameter sweeps. Every
-//!   downstream schedule is independently re-verified with integer
-//!   max-flow, so floating-point noise cannot produce a silently invalid
-//!   schedule.
+//! * `f64` — fast approximate solving for large parameter sweeps. The
+//!   scheduler built on top verifies every schedule it extracts
+//!   independently (`Schedule::verify` in `atsched-core`), so
+//!   floating-point noise cannot produce a silently invalid schedule.
 //!
 //! The two meet in the hybrid pipeline ([`Model::solve_hybrid`]): solve
 //! in `f64`, keep only the final basis, re-derive that vertex in exact
-//! arithmetic, certify it (optimality + uniqueness), and fall back to
-//! the exact simplex on any typed failure — exact answers at close to
-//! float speed on the common path.
+//! arithmetic, certify its optimality (exact primal and dual
+//! feasibility plus strong duality; the vertex need not be the unique
+//! optimum), and fall back to the exact simplex on any typed failure —
+//! exact answers at close to float speed on the common path.
 //!
 //! ## Example
 //!

@@ -93,6 +93,8 @@ impl<S: Scalar> Solution<S> {
 /// A linear program `min cᵀx  s.t.  Ax {≤,≥,=} b,  x ≥ 0`.
 #[derive(Debug, Clone)]
 pub struct Model<S> {
+    /// One name per variable, or none at all for the solver's internal
+    /// images (presolved and `f64` models), which are never printed.
     pub(crate) names: Vec<String>,
     pub(crate) objective: Vec<S>,
     pub(crate) constraints: Vec<Constraint<S>>,
@@ -117,17 +119,24 @@ impl<S: Scalar> Model<S> {
         Model { names: Vec::new(), objective: Vec::new(), constraints: Vec::new() }
     }
 
+    /// An internal model without variable names, taking `constraints`
+    /// as given: unlike [`Model::add_constraint`], nothing is merged or
+    /// filtered.
+    pub(crate) fn unnamed(objective: Vec<S>, constraints: Vec<Constraint<S>>) -> Self {
+        Model { names: Vec::new(), objective, constraints }
+    }
+
     /// Add a non-negative variable with the given objective coefficient
     /// (the objective is *minimized*).
     pub fn add_var(&mut self, name: impl Into<String>, obj_coef: S) -> VarId {
         self.names.push(name.into());
         self.objective.push(obj_coef);
-        VarId(self.names.len() - 1)
+        VarId(self.objective.len() - 1)
     }
 
     /// Number of variables.
     pub fn num_vars(&self) -> usize {
-        self.names.len()
+        self.objective.len()
     }
 
     /// Number of constraints.
@@ -137,7 +146,16 @@ impl<S: Scalar> Model<S> {
 
     /// Name of a variable.
     pub fn var_name(&self, v: VarId) -> &str {
-        &self.names[v.0]
+        self.names.get(v.0).map_or("", String::as_str)
+    }
+
+    /// Display name of variable `i`: its own, or `v{i}` in an unnamed
+    /// model.
+    fn display_name(&self, i: usize) -> std::borrow::Cow<'_, str> {
+        match self.names.get(i) {
+            Some(name) => name.as_str().into(),
+            None => format!("v{i}").into(),
+        }
     }
 
     /// Add the constraint `Σ coefᵢ·varᵢ  cmp  rhs`.
@@ -147,7 +165,7 @@ impl<S: Scalar> Model<S> {
     pub fn add_constraint(&mut self, terms: Vec<(VarId, S)>, cmp: Cmp, rhs: S) {
         let mut dense: Vec<(usize, S)> = Vec::with_capacity(terms.len());
         for (v, c) in terms {
-            debug_assert!(v.0 < self.names.len(), "variable from another model");
+            debug_assert!(v.0 < self.num_vars(), "variable from another model");
             if let Some(slot) = dense.iter_mut().find(|(idx, _)| *idx == v.0) {
                 slot.1 = slot.1.add(&c);
             } else {
@@ -170,7 +188,7 @@ impl<S: Scalar> Model<S> {
     /// Check a candidate point against all constraints and variable
     /// bounds; used in tests and the verification harness.
     pub fn is_feasible(&self, point: &[S]) -> bool {
-        if point.len() != self.names.len() {
+        if point.len() != self.num_vars() {
             return false;
         }
         if point.iter().any(|v| v.is_negative()) {
@@ -231,6 +249,13 @@ impl<S: Scalar> Model<S> {
         if !self.is_feasible(&solution.values) {
             return Err("primal infeasible".into());
         }
+        self.check_dual(solution, duals)
+    }
+
+    /// The dual half of [`Model::check_duality`], for a primal point
+    /// already known to be feasible and one dual per constraint: sign
+    /// conditions, dual feasibility and strong duality.
+    pub(crate) fn check_dual(&self, solution: &Solution<S>, duals: &[S]) -> Result<(), String> {
         // Sign conditions.
         for (i, (c, y)) in self.constraints.iter().zip(duals).enumerate() {
             match c.cmp {
@@ -247,22 +272,29 @@ impl<S: Scalar> Model<S> {
                 Cmp::Eq => {}
             }
         }
-        // Dual feasibility: for every variable v, Σ_i a_{iv}·y_i ≤ c_v.
-        for v in 0..self.num_vars() {
-            let mut lhs = S::zero();
-            for (c, y) in self.constraints.iter().zip(duals) {
-                if let Some((_, coef)) = c.terms.iter().find(|(idx, _)| *idx == v) {
-                    lhs = lhs.add(&coef.mul(y));
-                }
+        // Dual feasibility: Aᵀy ≤ c, formed in one pass over the rows.
+        // Each variable still sums its terms in row order; a zero
+        // multiplier adds nothing.
+        let mut aty = vec![S::zero(); self.num_vars()];
+        for (c, y) in self.constraints.iter().zip(duals) {
+            if y.is_exactly_zero() {
+                continue;
             }
-            if lhs.sub(&self.objective[v]).is_positive() {
+            for (idx, coef) in &c.terms {
+                aty[*idx] = aty[*idx].add(&coef.mul(y));
+            }
+        }
+        for (v, (lhs, cost)) in aty.iter().zip(&self.objective).enumerate() {
+            if lhs.sub(cost).is_positive() {
                 return Err(format!("dual infeasible at variable {v}"));
             }
         }
         // Strong duality.
         let mut dual_obj = S::zero();
         for (c, y) in self.constraints.iter().zip(duals) {
-            dual_obj = dual_obj.add(&c.rhs.mul(y));
+            if !y.is_exactly_zero() {
+                dual_obj = dual_obj.add(&c.rhs.mul(y));
+            }
         }
         if !dual_obj.sub(&solution.objective).is_zero() {
             return Err(format!("duality gap: primal {} vs dual {}", solution.objective, dual_obj));
@@ -282,7 +314,7 @@ impl<S: Scalar> fmt::Display for Model<S> {
             if !first {
                 write!(f, " + ")?;
             }
-            write!(f, "{}·{}", c, self.names[i])?;
+            write!(f, "{}·{}", c, self.display_name(i))?;
             first = false;
         }
         writeln!(f)?;
@@ -293,7 +325,7 @@ impl<S: Scalar> fmt::Display for Model<S> {
                 if !first {
                     write!(f, " + ")?;
                 }
-                write!(f, "{}·{}", coef, self.names[*idx])?;
+                write!(f, "{}·{}", coef, self.display_name(*idx))?;
                 first = false;
             }
             let op = match c.cmp {

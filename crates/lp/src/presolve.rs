@@ -83,28 +83,33 @@ pub(crate) fn presolve<S: Scalar>(model: &Model<S>) -> Result<Presolved<S>, ()> 
     }
 
     // Pass 2: rebuild the model with fixed variables substituted out.
+    // The reduced model is internal and never printed, so it carries no
+    // variable names.
     let mut var_disposition: Vec<Result<usize, S>> = Vec::with_capacity(n);
-    let mut reduced: Model<S> = Model::new();
+    let mut objective: Vec<S> = Vec::with_capacity(n);
     for (v, fx) in fixed.iter().enumerate() {
         match fx {
             Some(val) => var_disposition.push(Err(val.clone())),
             None => {
-                let id = reduced.add_var(model.names[v].clone(), model.objective[v].clone());
-                var_disposition.push(Ok(id.index()));
+                var_disposition.push(Ok(objective.len()));
+                objective.push(model.objective[v].clone());
             }
         }
     }
 
-    // (terms, cmp, rhs) rendered to strings for duplicate-row detection.
-    type RowKey = (Vec<(usize, String)>, Cmp, String);
+    // (terms, cmp, rhs), scale-normalized, for duplicate-row detection.
+    type RowKey<K> = (Vec<(usize, K)>, Cmp, K);
     let mut rows_dropped = 0usize;
-    let mut seen_rows: std::collections::HashSet<RowKey> = std::collections::HashSet::new();
+    let mut constraints: Vec<Constraint<S>> = Vec::with_capacity(model.constraints.len());
+    let mut seen_rows: std::collections::HashSet<RowKey<S::Key>> = std::collections::HashSet::new();
     for c in &model.constraints {
-        let mut new_terms: Vec<(crate::model::VarId, S)> = Vec::new();
+        // The row's terms are merged and nonzero, and the renumbering is
+        // injective, so the substituted row is too.
+        let mut new_terms: Vec<(usize, S)> = Vec::with_capacity(c.terms.len());
         let mut rhs = c.rhs.clone();
         for (v, coef) in &c.terms {
             match &var_disposition[*v] {
-                Ok(idx) => new_terms.push((crate::model::VarId(*idx), coef.clone())),
+                Ok(idx) => new_terms.push((*idx, coef.clone())),
                 Err(val) => rhs = rhs.sub(&coef.mul(val)),
             }
         }
@@ -121,30 +126,30 @@ pub(crate) fn presolve<S: Scalar>(model: &Model<S>) -> Result<Presolved<S>, ()> 
             rows_dropped += 1;
             continue;
         }
-        // Dedup on a canonical scale-normalized rendering: every row is
-        // divided through by the absolute value of its lowest-index
-        // coefficient, so scalar multiples (2x + 2y ≥ 4 vs x + y ≥ 2)
-        // collapse to one key. The divisor is positive, preserving the
-        // sense. Exact for Ratio; for f64 the sub-tolerance rounding of
-        // the division only merges rows that are equal well below the
-        // solver's 1e-9 tolerance, which is sound.
-        let mut sorted: Vec<(usize, &S)> =
-            new_terms.iter().map(|(v, coef)| (v.index(), coef)).collect();
+        // Dedup on the exact scale-normalized row: every row is divided
+        // through by the absolute value of its lowest-index coefficient,
+        // so scalar multiples (2x + 2y ≥ 4 vs x + y ≥ 2) collapse to one
+        // key. The divisor is positive, preserving the sense. Exact for
+        // Ratio; for f64 the sub-tolerance rounding of the division only
+        // merges rows that are equal well below the solver's 1e-9
+        // tolerance, which is sound.
+        let mut sorted: Vec<(usize, &S)> = new_terms.iter().map(|(v, coef)| (*v, coef)).collect();
         sorted.sort_by_key(|(v, _)| *v);
         let lead = sorted[0].1;
         let scale = if lead.is_negative() { lead.neg() } else { lead.clone() };
-        let key_terms: Vec<(usize, String)> =
-            sorted.iter().map(|(v, coef)| (*v, format!("{}", coef.div(&scale)))).collect();
-        let key = (key_terms, c.cmp, format!("{}", rhs.div(&scale)));
+        let key_terms: Vec<(usize, S::Key)> =
+            sorted.iter().map(|(v, coef)| (*v, coef.div(&scale).key())).collect();
+        let key = (key_terms, c.cmp, rhs.div(&scale).key());
         if !seen_rows.insert(key) {
             rows_dropped += 1;
             continue;
         }
-        reduced.add_constraint(new_terms, c.cmp, rhs);
+        constraints.push(Constraint { terms: new_terms, cmp: c.cmp, rhs });
     }
 
     let vars_fixed = var_disposition.iter().filter(|d| d.is_err()).count();
-    Ok(Presolved { model: reduced, var_disposition, rows_dropped, vars_fixed })
+    let model = Model::unnamed(objective, constraints);
+    Ok(Presolved { model, var_disposition, rows_dropped, vars_fixed })
 }
 
 /// Expand a reduced-space solution back to original variable order.

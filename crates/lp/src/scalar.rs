@@ -30,6 +30,17 @@ pub trait Scalar: Clone + PartialOrd + Debug + Display + 'static {
     fn neg(&self) -> Self;
     /// Is this (numerically) zero?
     fn is_zero(&self) -> bool;
+    /// Is this exactly zero, tolerance aside? Skipping a product with an
+    /// exact zero changes a sum by at most the sign of a zero, which no
+    /// comparison reads. Exact fields answer [`Scalar::is_zero`].
+    fn is_exactly_zero(&self) -> bool {
+        self.is_zero()
+    }
+    /// A hashable image of the value, equal exactly when the values are
+    /// identical (presolve's duplicate-row key).
+    type Key: Eq + std::hash::Hash;
+    /// This value's [`Scalar::Key`].
+    fn key(&self) -> Self::Key;
     /// Strictly below (numerical) zero?
     fn is_negative(&self) -> bool;
     /// Strictly above (numerical) zero?
@@ -111,6 +122,12 @@ pub trait Scalar: Clone + PartialOrd + Debug + Display + 'static {
 }
 
 impl Scalar for Ratio {
+    type Key = Ratio;
+
+    fn key(&self) -> Ratio {
+        self.clone()
+    }
+
     fn zero() -> Self {
         Ratio::zero()
     }
@@ -195,6 +212,18 @@ pub(crate) const F64_EPS: f64 = 1e-9;
 pub(crate) const F64_NOISE: f64 = 1e-13;
 
 impl Scalar for f64 {
+    /// The bit pattern, with every NaN merged into one: two values share
+    /// a key exactly when they print alike (so `-0` and `0` differ).
+    type Key = u64;
+
+    fn key(&self) -> u64 {
+        if self.is_nan() {
+            f64::NAN.to_bits()
+        } else {
+            self.to_bits()
+        }
+    }
+
     fn zero() -> Self {
         0.0
     }
@@ -229,6 +258,10 @@ impl Scalar for f64 {
 
     fn is_zero(&self) -> bool {
         self.abs() <= F64_EPS
+    }
+
+    fn is_exactly_zero(&self) -> bool {
+        *self == 0.0
     }
 
     fn is_negative(&self) -> bool {

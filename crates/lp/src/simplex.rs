@@ -44,35 +44,40 @@ impl<S: Scalar> Tableau<S> {
     /// then eliminated from every other row and from `red` (the reduced
     /// cost row, with its own RHS = -objective).
     ///
-    /// The pivot row is moved out of the tableau for the duration of the
-    /// elimination sweep (`rows[row]` is briefly an empty `Vec`), so no
-    /// full-row clone is ever made; all updates run through the in-place
-    /// [`Scalar`] kernels.
+    /// Only the pivot row's exactly-nonzero columns are touched: `v / p`
+    /// and `x − f·v` with `v = 0` leave a zero and `x` (up to the sign
+    /// of a zero, which no pivot decision reads), so on a finite tableau
+    /// every entry comes out as a dense sweep would leave it. The pivot
+    /// row is moved out of the tableau for the duration of the sweep
+    /// (`rows[row]` is briefly an empty `Vec`), so no full-row clone is
+    /// ever made; all updates run through the in-place [`Scalar`]
+    /// kernels.
     fn pivot(&mut self, row: usize, col: usize, red: &mut [S]) {
         let mut pivot_row = std::mem::take(&mut self.rows[row]);
         let pivot_val = pivot_row[col].clone();
         debug_assert!(!pivot_val.is_zero());
-        for v in pivot_row.iter_mut() {
-            v.div_in_place(&pivot_val);
-        }
-        for (i, r) in self.rows.iter_mut().enumerate() {
-            if i == row {
-                continue;
+        let mut nonzero = Vec::new();
+        for (j, v) in pivot_row.iter_mut().enumerate() {
+            if !v.is_exactly_zero() {
+                v.div_in_place(&pivot_val);
+                nonzero.push(j);
             }
+        }
+        let eliminate = |r: &mut [S]| {
             let factor = r[col].clone();
-            if factor.is_zero() {
-                continue;
+            if !factor.is_zero() {
+                for &j in &nonzero {
+                    r[j].sub_mul_in_place(&factor, &pivot_row[j]);
+                }
             }
-            for (dst, src) in r.iter_mut().zip(pivot_row.iter()) {
-                dst.sub_mul_in_place(&factor, src);
+        };
+        for r in self.rows.iter_mut() {
+            // The pivot row's slot is empty for the sweep.
+            if !r.is_empty() {
+                eliminate(r);
             }
         }
-        let factor = red[col].clone();
-        if !factor.is_zero() {
-            for (dst, src) in red.iter_mut().zip(pivot_row.iter()) {
-                dst.sub_mul_in_place(&factor, src);
-            }
-        }
+        eliminate(red);
         self.rows[row] = pivot_row;
         self.basis[row] = col;
     }
@@ -179,29 +184,41 @@ impl<S: Scalar> Tableau<S> {
     }
 }
 
-/// Reduced costs `c_j - c_Bᵀ·(tableau column j)` and the current objective
-/// `c_Bᵀ·rhs`, recomputed from scratch (used at the start of each phase).
-fn reduced_costs<S: Scalar>(tab: &Tableau<S>, costs: &[S]) -> (Vec<S>, S) {
-    let mut red: Vec<S> = Vec::with_capacity(tab.cols + 1);
-    for j in 0..tab.cols {
-        let mut z = S::zero();
-        for (i, row) in tab.rows.iter().enumerate() {
-            let cb = &costs[tab.basis[i]];
-            if !cb.is_zero() {
-                z = z.add(&cb.mul(&row[j]));
+/// Reduced costs `c_j - c_Bᵀ·(tableau column j)`, with `-c_Bᵀ·rhs` in
+/// the slot aligned with the RHS column, recomputed from scratch (used
+/// at the start of each phase).
+///
+/// Accumulated row by row over the rows whose basic cost is nonzero, so
+/// each row is read once, front to back; every column still adds its
+/// products in row order, and an exactly-zero entry adds nothing.
+fn reduced_costs<S: Scalar>(tab: &Tableau<S>, costs: &[S]) -> Vec<S> {
+    let mut z = vec![S::zero(); tab.cols];
+    for (row, &b) in tab.rows.iter().zip(&tab.basis) {
+        let cb = &costs[b];
+        if cb.is_zero() {
+            continue;
+        }
+        for (zj, a) in z.iter_mut().zip(row) {
+            if !a.is_exactly_zero() {
+                *zj = zj.add(&cb.mul(a));
             }
         }
-        red.push(costs[j].sub(&z));
     }
+    let mut red: Vec<S> = costs.iter().zip(&z).map(|(c, zj)| c.sub(zj)).collect();
+    red.push(objective(tab, costs).neg());
+    red
+}
+
+/// The current objective `c_Bᵀ·rhs`: the RHS column alone.
+fn objective<S: Scalar>(tab: &Tableau<S>, costs: &[S]) -> S {
     let mut obj = S::zero();
-    for (i, _) in tab.rows.iter().enumerate() {
-        let cb = &costs[tab.basis[i]];
+    for (i, &b) in tab.basis.iter().enumerate() {
+        let cb = &costs[b];
         if !cb.is_zero() {
             obj = obj.add(&cb.mul(tab.rhs(i)));
         }
     }
-    red.push(obj.neg()); // slot aligned with the RHS column
-    (red, obj)
+    obj
 }
 
 /// Presolve, solve the reduced model, inflate the solution back.
@@ -406,7 +423,7 @@ fn solve_core_inner<S: Scalar>(
         for &j in &art_cols {
             phase1_costs[j] = S::one();
         }
-        let (mut red, _) = reduced_costs(&tab, &phase1_costs);
+        let mut red = reduced_costs(&tab, &phase1_costs);
         match tab.optimize(&mut red)? {
             (LpStatus::Unbounded, _) => {
                 unreachable!("phase-1 objective is bounded below by 0")
@@ -415,8 +432,7 @@ fn solve_core_inner<S: Scalar>(
             (LpStatus::Infeasible, _) => unreachable!(),
         }
         // Recompute the phase-1 objective exactly.
-        let (_, obj) = reduced_costs(&tab, &phase1_costs);
-        if obj.is_positive() {
+        if objective(&tab, &phase1_costs).is_positive() {
             return Ok(CoreSolve {
                 solution: Solution {
                     status: LpStatus::Infeasible,
@@ -501,7 +517,7 @@ fn solve_core_inner<S: Scalar>(
             }
         }
     }
-    let (mut red, _) = reduced_costs(&tab, &phase2_costs);
+    let mut red = reduced_costs(&tab, &phase2_costs);
     match tab.optimize(&mut red)? {
         (LpStatus::Unbounded, p) => {
             return Ok(CoreSolve {
@@ -533,7 +549,7 @@ fn solve_core_inner<S: Scalar>(
     // artificial/Eq: y = −red). Rows removed as redundant in phase 1 get
     // dual 0 (they are linear combinations of surviving rows).
     let duals = if want_duals {
-        let (red, _) = reduced_costs(&tab, &phase2_costs);
+        let red = reduced_costs(&tab, &phase2_costs);
         let surviving: Vec<bool> = {
             let mut v = vec![false; m];
             for &id in &tab.row_ids {

@@ -6,8 +6,7 @@
 //! float run pivoted correctly. This module re-derives the primal/dual
 //! pair for that basis from scratch in the caller's scalar field:
 //!
-//! * primal: solve `B·x_B = b` — one Gaussian solve, no simplex
-//!   pivoting;
+//! * primal: solve `B·x_B = b`, no simplex pivoting;
 //! * dual:   solve `Bᵀ·ŷ = c_B` and map back through the row-sign
 //!   normalization, matching the convention of
 //!   [`Model::solve_with_duals`](crate::Model::solve_with_duals).
@@ -21,10 +20,13 @@
 //! nested active-time LPs. The slack elimination also pins the duals of
 //! slack-owning rows to exactly zero (complementary slackness in
 //! action: a row with positive surplus cannot carry a multiplier).
-//! Exact Gaussian elimination on the `t×t` core costs `O(t³)` instead
-//! of the dense `O(k³)` — the difference between the hybrid fast path
-//! beating the exact simplex and losing to it outright on monolithic
-//! instances.
+//!
+//! The core is assembled from each row's own terms and factored once,
+//! sparsely ([`SparseLu`]); both systems are solved from that one
+//! factorization. In exact arithmetic the solution of a nonsingular
+//! system does not depend on the pivot order, so the factorization
+//! picks pivots only to limit fill-in, and it finds the core singular
+//! exactly when no pivot order could factor it.
 //!
 //! Every failure mode is a typed [`VerifyError`]; callers treat any of
 //! them as "the float basis cannot be trusted" and fall back to the
@@ -48,8 +50,9 @@ pub enum VerifyError {
     /// The re-derived point violates a constraint or a non-negativity
     /// bound (e.g. phase 1 dropped a row that is not exactly redundant).
     PrimalInfeasible,
-    /// The re-derived pair is feasible but fails the optimality or
-    /// uniqueness certificate; the message names the first violation.
+    /// The re-derived pair is feasible but fails the optimality
+    /// certificate (dual feasibility or strong duality); the message
+    /// names the first violation.
     NotCertified(String),
 }
 
@@ -106,21 +109,6 @@ pub(crate) fn rederive<S: Scalar>(
         return Err(VerifyError::SingularBasis);
     }
 
-    // Normalized structural coefficient at (original row, var col < n).
-    let struct_entry = |row_id: usize, col: usize| -> S {
-        let c = &model.constraints[row_id];
-        let v = c
-            .terms
-            .iter()
-            .find(|(idx, _)| *idx == col)
-            .map_or_else(S::zero, |(_, coef)| coef.clone());
-        if flips[row_id] {
-            v.neg()
-        } else {
-            v
-        }
-    };
-
     let k = fb.basis.len();
     let mut pos_of_row = vec![usize::MAX; m];
     for (p, &id) in fb.row_ids.iter().enumerate() {
@@ -150,34 +138,40 @@ pub(crate) fn rederive<S: Scalar>(
         }
         owner_taken[p] = true;
     }
-    let core_rows: Vec<usize> = (0..k).filter(|&p| !owner_taken[p]).collect();
+    let core_rows: Vec<usize> =
+        (0..k).filter(|&p| !owner_taken[p]).map(|p| fb.row_ids[p]).collect();
     debug_assert_eq!(core_rows.len(), struct_cols.len());
 
-    // Primal core: M·x_struct = b̃ over the slack-free rows. Slack
-    // values need no back-substitution — a slack is non-negative iff
-    // its owner row holds at the vertex, and the full `is_feasible`
-    // sweep below checks exactly that (plus the rows phase 1 dropped
-    // as "redundant" based on float arithmetic).
-    let mmat: Vec<Vec<S>> = core_rows
+    // The core M over the slack-free rows, row by row from each row's
+    // normalized terms: `core_col[v]` is structural column v's position
+    // in the core. A column listed twice keeps one position, leaving
+    // the other empty, and the factorization finds M singular.
+    let mut core_col = vec![usize::MAX; n];
+    for (j, &col) in struct_cols.iter().enumerate() {
+        core_col[col] = j;
+    }
+    let normalized = |id: usize, v: &S| if flips[id] { v.neg() } else { v.clone() };
+    let mmat: Vec<Vec<(usize, S)>> = core_rows
         .iter()
-        .map(|&p| {
-            let id = fb.row_ids[p];
-            struct_cols.iter().map(|&col| struct_entry(id, col)).collect()
+        .map(|&id| {
+            let terms = &model.constraints[id].terms;
+            terms
+                .iter()
+                .filter(|(col, _)| core_col[*col] != usize::MAX)
+                .map(|(col, coef)| (core_col[*col], normalized(id, coef)))
+                .collect()
         })
         .collect();
-    let crhs: Vec<S> = core_rows
-        .iter()
-        .map(|&p| {
-            let id = fb.row_ids[p];
-            let r = &model.constraints[id].rhs;
-            if flips[id] {
-                r.neg()
-            } else {
-                r.clone()
-            }
-        })
-        .collect();
-    let xs = solve_square(mmat.clone(), crhs).ok_or(VerifyError::SingularBasis)?;
+    let lu = SparseLu::factor(mmat).ok_or(VerifyError::SingularBasis)?;
+
+    // Primal core: M·x_struct = b̃. Slack values need no
+    // back-substitution — a slack is non-negative iff its owner row
+    // holds at the vertex, and the full `is_feasible` sweep below
+    // checks exactly that (plus the rows phase 1 dropped as
+    // "redundant" based on float arithmetic).
+    let crhs: Vec<S> =
+        core_rows.iter().map(|&id| normalized(id, &model.constraints[id].rhs)).collect();
+    let xs = lu.solve(crhs);
     if xs.iter().any(|v| v.is_negative()) {
         return Err(VerifyError::PrimalInfeasible);
     }
@@ -189,58 +183,164 @@ pub(crate) fn rederive<S: Scalar>(
         return Err(VerifyError::PrimalInfeasible);
     }
 
-    // Dual core: Mᵀ·ŷ = c_struct, then undo the row-sign
-    // normalization. Matches the marker-column extraction in
-    // `solve_core_inner` (there, y_i = ŷ_i for every sense, negated for
-    // flipped rows). Slack-owning and dropped rows keep multiplier 0.
-    let t = struct_cols.len();
-    let mtmat: Vec<Vec<S>> = (0..t).map(|j| (0..t).map(|r| mmat[r][j].clone()).collect()).collect();
+    // Dual core: Mᵀ·ŷ = c_struct from the same factorization, then undo
+    // the row-sign normalization. Matches the marker-column extraction
+    // in `solve_core_inner` (there, y_i = ŷ_i for every sense, negated
+    // for flipped rows). Slack-owning and dropped rows keep multiplier 0.
     let cs: Vec<S> = struct_cols.iter().map(|&col| model.objective[col].clone()).collect();
-    let ys = solve_square(mtmat, cs).ok_or(VerifyError::SingularBasis)?;
+    let ys = lu.solve_transposed(cs);
     let mut duals = vec![S::zero(); m];
-    for (a, &p) in core_rows.iter().enumerate() {
-        let id = fb.row_ids[p];
-        duals[id] = if flips[id] { ys[a].neg() } else { ys[a].clone() };
+    for (y, &id) in ys.iter().zip(&core_rows) {
+        duals[id] = normalized(id, y);
     }
 
     let objective = model.objective_at(&values);
     Ok(Rederived { solution: Solution { status: LpStatus::Optimal, objective, values }, duals })
 }
 
-/// Dense Gaussian solve of `mat·x = rhs` with first-nonzero pivoting
-/// (exact fields need no magnitude-based pivot choice). `None` iff the
-/// matrix is singular.
-fn solve_square<S: Scalar>(mut mat: Vec<Vec<S>>, mut rhs: Vec<S>) -> Option<Vec<S>> {
-    let k = rhs.len();
-    for col in 0..k {
-        let p = (col..k).find(|&r| !mat[r][col].is_zero())?;
-        mat.swap(col, p);
-        rhs.swap(col, p);
-        let (head, tail) = mat.split_at_mut(col + 1);
-        let prow = &head[col];
-        let pval = prow[col].clone();
-        let prhs = rhs[col].clone();
-        for (off, row) in tail.iter_mut().enumerate() {
-            if row[col].is_zero() {
+/// A sparse LU factorization of a square matrix given by rows of
+/// `(column, value)` entries: `M = L̃·U`, where step `s` pivots on
+/// `order[s] = (row, col)`, `U`'s row for that step is the pivot row as
+/// it stood then, and `L̃` holds the multipliers that step subtracted
+/// the pivot row with.
+///
+/// Pivots are chosen by the Markowitz count `(row nnz − 1)·(col nnz −
+/// 1)`, first found on ties, which keeps the fill-in of the LP cores
+/// near zero; any nonzero pivot would do, since the solutions are exact.
+struct SparseLu<S> {
+    /// Per step: the pivot's row and column.
+    order: Vec<(usize, usize)>,
+    /// Per step: the pivot value.
+    pivot: Vec<S>,
+    /// Per step: the pivot row's other entries (all in columns pivoted
+    /// later).
+    upper: Vec<Vec<(usize, S)>>,
+    /// Per step: `(row, multiplier)` for every row the step eliminated
+    /// the pivot column from (all rows pivoted later).
+    lower: Vec<Vec<(usize, S)>>,
+}
+
+impl<S: Scalar> SparseLu<S> {
+    /// Factor the `t×t` matrix with these `t` rows. `None` iff it is
+    /// singular.
+    fn factor(mut rows: Vec<Vec<(usize, S)>>) -> Option<SparseLu<S>> {
+        let t = rows.len();
+        let mut col_count = vec![0usize; t];
+        for row in &rows {
+            for (c, _) in row {
+                col_count[*c] += 1;
+            }
+        }
+        let mut active = vec![true; t];
+        let mut lu = SparseLu {
+            order: Vec::with_capacity(t),
+            pivot: Vec::with_capacity(t),
+            upper: Vec::with_capacity(t),
+            lower: Vec::with_capacity(t),
+        };
+        for _ in 0..t {
+            // Active rows hold only active columns and no zeros, so no
+            // entry left means M is singular.
+            let mut best: Option<(usize, usize, usize)> = None; // (cost, row, entry)
+            'scan: for (r, row) in rows.iter().enumerate().filter(|(r, _)| active[*r]) {
+                for (e, (c, _)) in row.iter().enumerate() {
+                    let cost = (row.len() - 1) * (col_count[*c] - 1);
+                    if best.is_none_or(|(b, _, _)| cost < b) {
+                        best = Some((cost, r, e));
+                        if cost == 0 {
+                            break 'scan;
+                        }
+                    }
+                }
+            }
+            let (_, r, e) = best?;
+            active[r] = false;
+            let mut prow = std::mem::take(&mut rows[r]);
+            let (c, pv) = prow.swap_remove(e);
+            col_count[c] -= 1;
+            for (cc, _) in &prow {
+                col_count[*cc] -= 1;
+            }
+            let mut mults = Vec::new();
+            for (i, row) in rows.iter_mut().enumerate().filter(|(i, _)| active[*i]) {
+                let Some(at) = row.iter().position(|(cc, _)| *cc == c) else {
+                    continue;
+                };
+                let f = row.swap_remove(at).1.div(&pv);
+                col_count[c] -= 1;
+                for (cc, u) in &prow {
+                    match row.iter().position(|(x, _)| x == cc) {
+                        Some(q) => {
+                            row[q].1.sub_mul_in_place(&f, u);
+                            if row[q].1.is_zero() {
+                                row.swap_remove(q);
+                                col_count[*cc] -= 1;
+                            }
+                        }
+                        None => {
+                            row.push((*cc, f.mul(u).neg()));
+                            col_count[*cc] += 1;
+                        }
+                    }
+                }
+                mults.push((i, f));
+            }
+            lu.order.push((r, c));
+            lu.pivot.push(pv);
+            lu.upper.push(prow);
+            lu.lower.push(mults);
+        }
+        Some(lu)
+    }
+
+    /// Solve `M·x = b` (`b` indexed by row, `x` by column).
+    fn solve(&self, mut b: Vec<S>) -> Vec<S> {
+        // Forward: apply each step's row operations to b.
+        for (s, &(r, _)) in self.order.iter().enumerate() {
+            if b[r].is_zero() {
                 continue;
             }
-            let f = row[col].div(&pval);
-            for cc in col..k {
-                row[cc].sub_mul_in_place(&f, &prow[cc]);
+            let br = b[r].clone();
+            for (i, f) in &self.lower[s] {
+                b[*i].sub_mul_in_place(f, &br);
             }
-            let r = col + 1 + off;
-            rhs[r] = rhs[r].sub(&f.mul(&prhs));
         }
-    }
-    let mut x = vec![S::zero(); k];
-    for col in (0..k).rev() {
-        let mut acc = rhs[col].clone();
-        for cc in col + 1..k {
-            acc = acc.sub(&mat[col][cc].mul(&x[cc]));
+        // Back: U·x = b, last pivot first.
+        let mut x = vec![S::zero(); b.len()];
+        for s in (0..self.order.len()).rev() {
+            let (r, c) = self.order[s];
+            let mut acc = std::mem::replace(&mut b[r], S::zero());
+            for (cc, u) in &self.upper[s] {
+                acc.sub_mul_in_place(u, &x[*cc]);
+            }
+            x[c] = acc.div(&self.pivot[s]);
         }
-        x[col] = acc.div(&mat[col][col]);
+        x
     }
-    Some(x)
+
+    /// Solve `Mᵀ·y = c` (`c` indexed by column, `y` by row):
+    /// `Uᵀ·w = c` forward, then `L̃ᵀ·y = w` backward.
+    fn solve_transposed(&self, mut c: Vec<S>) -> Vec<S> {
+        let mut y = vec![S::zero(); c.len()];
+        for (s, &(r, col)) in self.order.iter().enumerate() {
+            let w = c[col].div(&self.pivot[s]);
+            if !w.is_zero() {
+                for (cc, u) in &self.upper[s] {
+                    c[*cc].sub_mul_in_place(&w, u);
+                }
+            }
+            y[r] = w;
+        }
+        for s in (0..self.order.len()).rev() {
+            let r = self.order[s].0;
+            let mut acc = std::mem::replace(&mut y[r], S::zero());
+            for (i, f) in &self.lower[s] {
+                acc.sub_mul_in_place(f, &y[*i]);
+            }
+            y[r] = acc;
+        }
+        y
+    }
 }
 
 #[cfg(test)]
@@ -248,6 +348,7 @@ mod tests {
     use super::*;
     use crate::simplex::solve_core;
     use atsched_num::Ratio;
+    use proptest::prelude::*;
 
     fn ri(v: i64) -> Ratio {
         Ratio::from_i64(v)
@@ -320,5 +421,92 @@ mod tests {
     fn error_display_is_stable() {
         assert_eq!(VerifyError::SingularBasis.to_string(), "basis singular in exact arithmetic");
         assert!(VerifyError::NotCertified("gap".into()).to_string().contains("gap"));
+    }
+
+    /// The sparse rows of a dense matrix.
+    fn sparse(dense: &[Vec<i64>]) -> Vec<Vec<(usize, Ratio)>> {
+        dense
+            .iter()
+            .map(|row| {
+                row.iter().enumerate().filter(|(_, v)| **v != 0).map(|(j, v)| (j, ri(*v))).collect()
+            })
+            .collect()
+    }
+
+    /// Is the dense matrix singular? (Plain elimination, first nonzero
+    /// pivot.)
+    fn singular(dense: &[Vec<i64>]) -> bool {
+        let mut a: Vec<Vec<Ratio>> =
+            dense.iter().map(|r| r.iter().map(|v| ri(*v)).collect()).collect();
+        let t = a.len();
+        for col in 0..t {
+            let Some(p) = (col..t).find(|&r| !a[r][col].is_zero()) else {
+                return true;
+            };
+            a.swap(col, p);
+            let (top, rest) = a.split_at_mut(col + 1);
+            let pivot = &top[col];
+            for row in rest {
+                let f = &row[col] / &pivot[col];
+                for (v, u) in row[col..].iter_mut().zip(&pivot[col..]) {
+                    *v -= &(&f * u);
+                }
+            }
+        }
+        false
+    }
+
+    /// `M·x = b` and `Mᵀ·y = c` hold exactly.
+    fn check_solves(dense: &[Vec<i64>], lu: &SparseLu<Ratio>, b: &[i64], c: &[i64]) {
+        let t = dense.len();
+        let x = lu.solve(b.iter().map(|v| ri(*v)).collect());
+        let y = lu.solve_transposed(c.iter().map(|v| ri(*v)).collect());
+        for i in 0..t {
+            let row: Ratio = (0..t).map(|j| &ri(dense[i][j]) * &x[j]).sum();
+            assert_eq!(row, ri(b[i]), "row {i} of M·x");
+            let col: Ratio = (0..t).map(|j| &ri(dense[j][i]) * &y[j]).sum();
+            assert_eq!(col, ri(c[i]), "column {i} of Mᵀ·y");
+        }
+    }
+
+    #[test]
+    fn sparse_lu_permutes_around_zero_pivots_and_fills_in() {
+        // A zero leading entry, and a pivot row whose elimination fills
+        // in entries the other rows lacked.
+        let dense = vec![vec![0, 2, 1, 0], vec![3, 0, 0, 1], vec![1, 1, 0, 0], vec![0, 0, 5, 2]];
+        let lu = SparseLu::factor(sparse(&dense)).expect("nonsingular");
+        check_solves(&dense, &lu, &[1, -2, 3, 4], &[5, 0, -1, 2]);
+        // Rows 0 and 2 equal up to scale: singular.
+        let dense = vec![vec![1, 2, 0], vec![0, 1, 1], vec![2, 4, 0]];
+        assert!(SparseLu::factor(sparse(&dense)).is_none());
+        // An empty core factors trivially.
+        let lu = SparseLu::<Ratio>::factor(Vec::new()).unwrap();
+        assert!(lu.solve(Vec::new()).is_empty());
+    }
+
+    proptest! {
+        /// On random sparse integer matrices, the factorization exists
+        /// exactly when the matrix is nonsingular, and then solves both
+        /// systems exactly.
+        #[test]
+        fn prop_sparse_lu_matches_dense_elimination(
+            (dense, b, c) in (1usize..7).prop_flat_map(|t| {
+                // About half the entries are zero.
+                let entry = (-7i64..4).prop_map(|v| if v < -3 { 0 } else { v });
+                (
+                    proptest::collection::vec(proptest::collection::vec(entry, t), t),
+                    proptest::collection::vec(-5i64..6, t),
+                    proptest::collection::vec(-5i64..6, t),
+                )
+            }),
+        ) {
+            match SparseLu::factor(sparse(&dense)) {
+                None => prop_assert!(singular(&dense)),
+                Some(lu) => {
+                    prop_assert!(!singular(&dense));
+                    check_solves(&dense, &lu, &b, &c);
+                }
+            }
+        }
     }
 }

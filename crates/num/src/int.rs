@@ -196,7 +196,7 @@ impl Int {
     /// Construct from a sign and a `u128` magnitude, demoting to the
     /// inline representation whenever the signed value fits `i128`.
     #[inline]
-    fn from_sign_u128(sign: i8, m: u128) -> Self {
+    pub(crate) fn from_sign_u128(sign: i8, m: u128) -> Self {
         if m == 0 {
             return Int::zero();
         }
@@ -225,6 +225,16 @@ impl Int {
             }
             Repr::Medium { sign, len, mag } => f(*sign, &mag[..*len as usize]),
             Repr::Big { sign, mag } => f(*sign, mag),
+        }
+    }
+
+    /// Sign and magnitude when the magnitude fits a `u64` — the
+    /// operand shape of `Ratio`'s word-sized kernels (`true` = negative).
+    #[inline]
+    pub(crate) fn word(&self) -> Option<(bool, u64)> {
+        match self.0 {
+            Repr::Small(v) => u64::try_from(v.unsigned_abs()).ok().map(|m| (v < 0, m)),
+            _ => None,
         }
     }
 
@@ -824,28 +834,43 @@ impl std::iter::Sum for Int {
 // --- gcd ---------------------------------------------------------------------
 
 /// Stein's binary GCD on machine words: shift/subtract only, no
-/// division. The workhorse of `Ratio` normalization on the fast path.
-pub(crate) fn gcd_u128(mut a: u128, mut b: u128) -> u128 {
-    if a == 0 {
-        return b;
-    }
-    if b == 0 {
-        return a;
-    }
-    let shift = (a | b).trailing_zeros();
-    a >>= a.trailing_zeros();
-    loop {
-        b >>= b.trailing_zeros();
-        if a > b {
-            std::mem::swap(&mut a, &mut b);
+/// division. One body for both word sizes: `gcd_u128` is the workhorse
+/// of `Int`'s gcd, `gcd_u64` the reduction step of `Ratio`'s word-sized
+/// kernels.
+macro_rules! binary_gcd {
+    ($name:ident, $word:ty) => {
+        #[inline]
+        pub(crate) fn $name(mut a: $word, mut b: $word) -> $word {
+            if a == 0 {
+                return b;
+            }
+            if b == 0 {
+                return a;
+            }
+            // Integer denominators make 1 the common operand; the loop
+            // below would take one round per bit to find it.
+            if a == 1 || b == 1 {
+                return 1;
+            }
+            let shift = (a | b).trailing_zeros();
+            a >>= a.trailing_zeros();
+            loop {
+                b >>= b.trailing_zeros();
+                if a > b {
+                    std::mem::swap(&mut a, &mut b);
+                }
+                b -= a;
+                if b == 0 {
+                    break;
+                }
+            }
+            a << shift
         }
-        b -= a;
-        if b == 0 {
-            break;
-        }
-    }
-    a << shift
+    };
 }
+
+binary_gcd!(gcd_u64, u64);
+binary_gcd!(gcd_u128, u128);
 
 /// Gcd on magnitudes; result is non-negative. Word-sized operands take
 /// the binary-GCD fast path; big operands run Euclid until both
@@ -1590,8 +1615,7 @@ mod tests {
 
         #[test]
         fn prop_binary_gcd_matches_euclid(a in any::<u128>(), b in any::<u128>()) {
-            let euclid = {
-                let (mut a, mut b) = (a, b);
+            let euclid = |(mut a, mut b): (u128, u128)| {
                 while b != 0 {
                     let r = a % b;
                     a = b;
@@ -1599,7 +1623,9 @@ mod tests {
                 }
                 a
             };
-            prop_assert_eq!(gcd_u128(a, b), euclid);
+            prop_assert_eq!(gcd_u128(a, b), euclid((a, b)));
+            let (a, b) = (a as u64, b as u64);
+            prop_assert_eq!(u128::from(gcd_u64(a, b)), euclid((a.into(), b.into())));
         }
 
         #[test]

@@ -4,9 +4,17 @@
 //! * the denominator is strictly positive,
 //! * numerator and denominator are coprime,
 //! * zero is represented as `0/1`.
+//!
+//! When both parts of every operand fit 64 bits, `+ − × ÷` and `cmp`
+//! run word-sized kernels: u128 cross-products, a u64 binary gcd and
+//! u64 division. Wider operands, or a sum whose cross-products overflow
+//! u128, take the general [`Int`] path. Both build their results
+//! through [`Int`]'s canonical constructors, so a value has one
+//! representation however it was computed and the derived `Eq`/`Hash`
+//! stay sound.
 
-use crate::int::Int;
 use crate::int::ParseIntError;
+use crate::int::{gcd_u64, Int};
 use std::cmp::Ordering;
 use std::fmt;
 use std::ops::{Add, AddAssign, Div, DivAssign, Mul, MulAssign, Neg, Sub, SubAssign};
@@ -63,6 +71,10 @@ impl Ratio {
         // Integer fast path: nothing to reduce when the denominator is 1.
         if den.is_one() {
             return Ratio::raw(num, den);
+        }
+        if let (Some((nn, n)), Some((dn, d))) = (num.word(), den.word()) {
+            let g = gcd_u64(n, d);
+            return Ratio::from_word_parts(nn != dn, (n / g) as u128, (d / g) as u128);
         }
         let g = crate::gcd(&num, &den);
         let mut num = &num / &g;
@@ -177,6 +189,13 @@ impl Ratio {
     /// instead of inheriting a shared-shift truncation. Values beyond
     /// the `f64` range saturate to ±inf / ±0.
     pub fn to_f64(&self) -> f64 {
+        // Word-sized parts convert exactly as the `i128` route below
+        // would (both round the same integer to nearest-even), and
+        // round-to-nearest division is symmetric under negation.
+        if let Some(w) = self.word() {
+            let q = w.num as f64 / w.den as f64;
+            return if w.neg { -q } else { q };
+        }
         let nb = self.num.bits();
         let db = self.den.bits();
         if nb <= 1000 && db <= 1000 {
@@ -250,7 +269,130 @@ fn scale_by_pow2(x: f64, mut e: i64) -> f64 {
 
 // --- arithmetic ---------------------------------------------------------------
 
+/// A ratio whose numerator magnitude and denominator both fit a `u64`,
+/// in sign-magnitude form: the operand of the word-sized kernels.
+#[derive(Clone, Copy)]
+struct Word {
+    neg: bool,
+    num: u64,
+    den: u64,
+}
+
+/// `gcd(m, d)` for a wide `m` and a nonzero word `d`: one u128
+/// remainder first when `m` does not fit a word (rare), then binary.
+#[inline]
+fn gcd_wide(m: u128, d: u64) -> u64 {
+    match u64::try_from(m) {
+        Ok(m) => gcd_u64(m, d),
+        Err(_) => gcd_u64((m % d as u128) as u64, d),
+    }
+}
+
+/// `m / d` for a wide `m` and a nonzero word `d`, dividing in u64
+/// whenever `m` fits one.
+#[inline]
+fn div_wide(m: u128, d: u64) -> u128 {
+    match u64::try_from(m) {
+        _ if d == 1 => m,
+        Ok(m) => (m / d) as u128,
+        Err(_) => m / d as u128,
+    }
+}
+
+/// Signed sum of two sign-magnitude values; `None` if the magnitude
+/// overflows u128.
+#[inline]
+fn signed_sum(an: bool, a: u128, bn: bool, b: u128) -> Option<(bool, u128)> {
+    if an == bn {
+        a.checked_add(b).map(|m| (an, m))
+    } else if a >= b {
+        Some((an, a - b))
+    } else {
+        Some((bn, b - a))
+    }
+}
+
 impl Ratio {
+    /// The word-sized view, when both parts fit 64 bits.
+    #[inline]
+    fn word(&self) -> Option<Word> {
+        let (neg, num) = self.num.word()?;
+        let (_, den) = self.den.word()?;
+        Some(Word { neg, num, den })
+    }
+
+    /// Build from coprime sign-magnitude parts (`den > 0`).
+    #[inline]
+    fn from_word_parts(neg: bool, num: u128, den: u128) -> Ratio {
+        if num == 0 {
+            return Ratio::zero();
+        }
+        Ratio::raw(Int::from_sign_u128(if neg { -1 } else { 1 }, num), Int::from_sign_u128(1, den))
+    }
+
+    /// Word-sized `x ± y` (`y.neg` already flipped for a difference),
+    /// Knuth 4.5.1 like [`Ratio::add_big`]. `None` when a
+    /// cross-product sum overflows u128.
+    #[inline]
+    fn add_word(x: Word, y: Word) -> Option<Ratio> {
+        if x.den == y.den {
+            let (neg, m) = signed_sum(x.neg, x.num as u128, y.neg, y.num as u128)?;
+            if m == 0 || x.den == 1 {
+                return Some(Ratio::from_word_parts(neg, m, 1));
+            }
+            let g = gcd_wide(m, x.den);
+            return Some(Ratio::from_word_parts(neg, div_wide(m, g), (x.den / g) as u128));
+        }
+        let d1 = gcd_u64(x.den, y.den);
+        let (db, dd) = (x.den / d1, y.den / d1);
+        let (neg, t) =
+            signed_sum(x.neg, x.num as u128 * dd as u128, y.neg, y.num as u128 * db as u128)?;
+        if t == 0 || d1 == 1 {
+            return Some(Ratio::from_word_parts(neg, t, x.den as u128 * y.den as u128));
+        }
+        let d2 = gcd_wide(t, d1);
+        Some(Ratio::from_word_parts(neg, div_wide(t, d2), db as u128 * (y.den / d2) as u128))
+    }
+
+    /// Word-sized `x · y`: cross-cancel first, so the result is reduced
+    /// and the u128 products cannot overflow.
+    #[inline]
+    fn mul_word(x: Word, y: Word) -> Ratio {
+        if x.num == 0 || y.num == 0 {
+            return Ratio::zero();
+        }
+        let g1 = gcd_u64(x.num, y.den);
+        let g2 = gcd_u64(y.num, x.den);
+        let num = (x.num / g1) as u128 * (y.num / g2) as u128;
+        let den = (x.den / g2) as u128 * (y.den / g1) as u128;
+        Ratio::from_word_parts(x.neg != y.neg, num, den)
+    }
+
+    /// Word-sized comparison: sign first, then exact u128
+    /// cross-products.
+    #[inline]
+    fn cmp_word(x: Word, y: Word) -> Ordering {
+        let sign = |w: Word| {
+            if w.num == 0 {
+                0
+            } else if w.neg {
+                -1
+            } else {
+                1
+            }
+        };
+        let (sx, sy) = (sign(x), sign(y));
+        if sx != sy || sx == 0 {
+            return sx.cmp(&sy);
+        }
+        let ord = (x.num as u128 * y.den as u128).cmp(&(y.num as u128 * x.den as u128));
+        if x.neg {
+            ord.reverse()
+        } else {
+            ord
+        }
+    }
+
     /// Normalize `num / den` when `den` is a known-positive denominator
     /// shared by both addends, so a single gcd against the (usually
     /// word-sized) denominator suffices.
@@ -270,10 +412,23 @@ impl Ratio {
         }
     }
 
-    /// Shared implementation of `+` / `-` (Knuth 4.5.1: for reduced
-    /// inputs the result is reduced by construction, so no full gcd over
-    /// the combined numerator is ever needed).
+    /// Shared implementation of `+` / `-`: the word-sized kernel when
+    /// both operands are word-sized and the sum fits, else
+    /// [`Ratio::add_big`].
     fn add_impl(x: &Ratio, y: &Ratio, negate_y: bool) -> Ratio {
+        if let (Some(a), Some(mut b)) = (x.word(), y.word()) {
+            b.neg ^= negate_y && b.num != 0;
+            if let Some(r) = Ratio::add_word(a, b) {
+                return r;
+            }
+        }
+        Ratio::add_big(x, y, negate_y)
+    }
+
+    /// `+` / `-` over [`Int`] (Knuth 4.5.1: for reduced inputs the
+    /// result is reduced by construction, so no full gcd over the
+    /// combined numerator is ever needed).
+    fn add_big(x: &Ratio, y: &Ratio, negate_y: bool) -> Ratio {
         // Same denominator: combine numerators, reduce against den once.
         if x.den == y.den {
             let num = if negate_y { &x.num - &y.num } else { &x.num + &y.num };
@@ -308,6 +463,40 @@ impl Ratio {
             Ratio::raw(&t / &d2, &db * &(&y.den / &d2))
         }
     }
+
+    /// `×` over [`Int`].
+    fn mul_big(x: &Ratio, y: &Ratio) -> Ratio {
+        if x.is_zero() || y.is_zero() {
+            return Ratio::zero();
+        }
+        // Integer × integer: nothing to reduce.
+        if x.den.is_one() && y.den.is_one() {
+            return Ratio::raw(&x.num * &y.num, Int::one());
+        }
+        // Reduce cross factors first to keep intermediates small; for
+        // reduced inputs the result is then reduced by construction and
+        // the denominator stays positive.
+        let g1 = crate::gcd(&x.num, &y.den);
+        let g2 = crate::gcd(&y.num, &x.den);
+        let num = &(&x.num / &g1) * &(&y.num / &g2);
+        let den = &(&x.den / &g2) * &(&y.den / &g1);
+        Ratio::raw(num, den)
+    }
+
+    /// Ordering over [`Int`].
+    fn cmp_big(x: &Ratio, y: &Ratio) -> Ordering {
+        // Shared denominator (including integer vs integer): compare
+        // numerators directly, no multiplication.
+        if x.den == y.den {
+            return x.num.cmp(&y.num);
+        }
+        // Denominators positive: a/b vs c/d  ⇔  a·d vs c·b.
+        match x.num.signum().cmp(&y.num.signum()) {
+            Ordering::Equal => {}
+            ord => return ord,
+        }
+        (&x.num * &y.den).cmp(&(&y.num * &x.den))
+    }
 }
 
 impl<'b> Add<&'b Ratio> for &Ratio {
@@ -327,21 +516,10 @@ impl<'b> Sub<&'b Ratio> for &Ratio {
 impl<'b> Mul<&'b Ratio> for &Ratio {
     type Output = Ratio;
     fn mul(self, rhs: &'b Ratio) -> Ratio {
-        if self.is_zero() || rhs.is_zero() {
-            return Ratio::zero();
+        match (self.word(), rhs.word()) {
+            (Some(a), Some(b)) => Ratio::mul_word(a, b),
+            _ => Ratio::mul_big(self, rhs),
         }
-        // Integer × integer: nothing to reduce.
-        if self.den.is_one() && rhs.den.is_one() {
-            return Ratio::raw(&self.num * &rhs.num, Int::one());
-        }
-        // Reduce cross factors first to keep intermediates small; for
-        // reduced inputs the result is then reduced by construction and
-        // the denominator stays positive.
-        let g1 = crate::gcd(&self.num, &rhs.den);
-        let g2 = crate::gcd(&rhs.num, &self.den);
-        let num = &(&self.num / &g1) * &(&rhs.num / &g2);
-        let den = &(&self.den / &g2) * &(&rhs.den / &g1);
-        Ratio::raw(num, den)
     }
 }
 
@@ -349,7 +527,12 @@ impl<'b> Div<&'b Ratio> for &Ratio {
     type Output = Ratio;
     fn div(self, rhs: &'b Ratio) -> Ratio {
         assert!(!rhs.is_zero(), "Ratio division by zero");
-        self * &rhs.recip()
+        match (self.word(), rhs.word()) {
+            // The reciprocal of a word is a word: the sign stays on the
+            // numerator side, the parts swap.
+            (Some(a), Some(b)) => Ratio::mul_word(a, Word { neg: b.neg, num: b.den, den: b.num }),
+            _ => self * &rhs.recip(),
+        }
     }
 }
 
@@ -453,17 +636,10 @@ impl PartialOrd for Ratio {
 
 impl Ord for Ratio {
     fn cmp(&self, other: &Self) -> Ordering {
-        // Shared denominator (including integer vs integer): compare
-        // numerators directly, no multiplication.
-        if self.den == other.den {
-            return self.num.cmp(&other.num);
+        match (self.word(), other.word()) {
+            (Some(a), Some(b)) => Ratio::cmp_word(a, b),
+            _ => Ratio::cmp_big(self, other),
         }
-        // Denominators positive: a/b vs c/d  ⇔  a·d vs c·b.
-        match self.num.signum().cmp(&other.num.signum()) {
-            Ordering::Equal => {}
-            ord => return ord,
-        }
-        (&self.num * &other.den).cmp(&(&other.num * &self.den))
     }
 }
 
@@ -651,6 +827,141 @@ mod tests {
         let vals = [r(1, 2), r(1, 3), r(1, 6)];
         let s: Ratio = vals.iter().sum();
         assert_eq!(s, Ratio::one());
+    }
+
+    /// `num/den` normalized over [`Int`] alone, bypassing the word
+    /// kernel in [`Ratio::new`].
+    fn new_big(num: Int, den: Int) -> Ratio {
+        if num.is_zero() {
+            return Ratio::zero();
+        }
+        let g = crate::gcd(&num, &den);
+        let (mut num, mut den) = (&num / &g, &den / &g);
+        if den.is_negative() {
+            num = -num;
+            den = -den;
+        }
+        Ratio { num, den }
+    }
+
+    /// `Ratio::to_f64` through the `Int` conversions alone.
+    fn int_path_f64(v: &Ratio) -> f64 {
+        v.numer().to_f64() / v.denom().to_f64()
+    }
+
+    fn hash_of(v: &Ratio) -> u64 {
+        use std::hash::{Hash, Hasher};
+        let mut h = std::collections::hash_map::DefaultHasher::new();
+        v.hash(&mut h);
+        h.finish()
+    }
+
+    /// Numerators biased to the word-kernel boundaries: i64's ends, the
+    /// u64-range magnitudes beyond them, and their neighbours.
+    fn edgy_num(raw: i128, sel: u8) -> Int {
+        const EDGES: [i128; 10] = [
+            0,
+            1,
+            -1,
+            i64::MAX as i128,
+            i64::MIN as i128,
+            u64::MAX as i128,
+            -(u64::MAX as i128),
+            1 << 63,
+            (1 << 32) + 1,
+            (u64::MAX as i128) + 1,
+        ];
+        let v = match sel % 4 {
+            0 => EDGES[raw.unsigned_abs() as usize % EDGES.len()],
+            1 => {
+                EDGES[raw.unsigned_abs() as usize % EDGES.len()].wrapping_add((sel % 5) as i128 - 2)
+            }
+            2 => raw % (1 << 20),
+            _ => raw % (u64::MAX as i128 + 2),
+        };
+        Int::from(v)
+    }
+
+    /// Nonzero denominators across the u64 range, biased to its top;
+    /// one in eight is negative, for `Ratio::new` to normalize.
+    fn edgy_den(raw: u128, sel: u8) -> Int {
+        const EDGES: [u128; 7] = [1, 2, 3, u64::MAX as u128, (1 << 63) - 1, 1 << 63, (1 << 63) + 1];
+        let v = match sel % 4 {
+            0 => EDGES[raw as usize % EDGES.len()],
+            1 => EDGES[raw as usize % EDGES.len()] + (sel % 3) as u128,
+            2 => 1 + raw % 1000,
+            _ => 1 + raw % (u64::MAX as u128),
+        };
+        if sel >= 224 {
+            -Int::from(v)
+        } else {
+            Int::from(v)
+        }
+    }
+
+    #[test]
+    fn word_kernels_at_the_edges() {
+        let max = Ratio::from_int(Int::from(u64::MAX));
+        // u64::MAX² overflows i128's positive range: a two-limb value.
+        let sq = &max * &max;
+        assert!(sq.numer().is_medium());
+        assert_eq!(sq, Ratio::mul_big(&max, &max));
+        // i64::MIN / u64::MAX and friends stay exact and reduced.
+        let a = Ratio::new(Int::from(i64::MIN), Int::from(u64::MAX));
+        let b = Ratio::new(Int::from(i64::MAX), Int::from(1u64 << 63));
+        assert_eq!(&a + &b, Ratio::add_big(&a, &b, false));
+        assert_eq!(&a - &b, Ratio::add_big(&a, &b, true));
+        assert_eq!(a.cmp(&b), Ratio::cmp_big(&a, &b));
+        // Same-sign magnitudes near 2^128 overflow the u128 sum and take
+        // the Int path.
+        let big = Ratio::new(Int::from(u64::MAX), Int::from(u64::MAX - 1));
+        let other = Ratio::new(Int::from(u64::MAX - 2), Int::from(u64::MAX));
+        assert_eq!(&big + &other, Ratio::add_big(&big, &other, false));
+        assert_eq!(&(-&big) - &other, Ratio::add_big(&-&big, &other, true));
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(4096))]
+        /// The word-sized kernels against the [`Int`] path: equal
+        /// values, equal representation (so equal hashes), and equal
+        /// ordering, at i64's ends, u64-range parts, and sums or
+        /// products that overflow i64 and i128.
+        #[test]
+        fn prop_word_kernels_match_the_int_path(
+            (na, sa, da, ta) in (any::<i128>(), any::<u8>(), any::<u128>(), any::<u8>()),
+            (nb, sb, db, tb) in (any::<i128>(), any::<u8>(), any::<u128>(), any::<u8>()),
+        ) {
+            let (xn, xd) = (edgy_num(na, sa), edgy_den(da, ta));
+            let (yn, yd) = (edgy_num(nb, sb), edgy_den(db, tb));
+            let x = Ratio::new(xn.clone(), xd.clone());
+            let y = Ratio::new(yn.clone(), yd.clone());
+            prop_assert_eq!(&x, &new_big(xn, xd));
+            prop_assert_eq!(&y, &new_big(yn, yd));
+            let pairs = [
+                (&x + &y, Ratio::add_big(&x, &y, false)),
+                (&x - &y, Ratio::add_big(&x, &y, true)),
+                (&x * &y, Ratio::mul_big(&x, &y)),
+            ];
+            for (word, big) in pairs {
+                prop_assert_eq!(&word, &big);
+                prop_assert_eq!(hash_of(&word), hash_of(&big));
+                prop_assert_eq!(word.numer().is_inline(), big.numer().is_inline());
+                prop_assert!(word.denom().is_positive());
+            }
+            prop_assert_eq!(x.to_f64().to_bits(), int_path_f64(&x).to_bits());
+            if !y.is_zero() {
+                let q = &x / &y;
+                let big = Ratio::mul_big(&x, &y.recip());
+                prop_assert_eq!(&q, &big);
+                prop_assert_eq!(hash_of(&q), hash_of(&big));
+            }
+            prop_assert_eq!(x.cmp(&y), Ratio::cmp_big(&x, &y));
+            prop_assert_eq!(x.cmp(&x.clone()), Ordering::Equal);
+            // A value computed two ways is one value.
+            let back = &(&x + &y) - &y;
+            prop_assert_eq!(&back, &x);
+            prop_assert_eq!(hash_of(&back), hash_of(&x));
+        }
     }
 
     proptest! {

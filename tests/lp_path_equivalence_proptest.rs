@@ -11,11 +11,17 @@
 //! as the pipeline proptests plus the workloads generators: tie-heavy
 //! trees and small multi-root forests among them.
 
+use nested_active_time::core::canonical::canonicalize;
 use nested_active_time::core::instance::{Instance, Job};
+use nested_active_time::core::lp_model::build;
+use nested_active_time::core::opt23;
 use nested_active_time::core::solver::{
     solve_nested, LpAnswer, LpStrategy, SolveError, SolverOptions,
 };
+use nested_active_time::core::tree::Forest;
 use nested_active_time::engine::shard::AUTO_MIN_JOBS;
+use nested_active_time::lp::HybridOutcome;
+use nested_active_time::num::Ratio;
 use nested_active_time::obs;
 use nested_active_time::workloads::families::{shallow_nest, unit_blocks};
 use nested_active_time::workloads::generators::{
@@ -160,5 +166,49 @@ proptest! {
         let simplex = solve_nested(&inst, &opts(LpStrategy::Exact)).unwrap();
         prop_assert_eq!(&tree.stats.lp_objective_exact, &simplex.stats.lp_objective_exact);
         prop_assert_eq!(&tree.schedule.slots, &simplex.schedule.slots);
+    }
+}
+
+/// Seeds of corpus-shape trees (`random_laminar(g = 4, horizon = 48)`)
+/// the tree DP declines, so the hybrid simplex answers them.
+const DECLINED_CORPUS_SEEDS: [u64; 12] =
+    [10003, 10006, 10058, 10194, 10202, 10218, 10288, 10300, 10330, 10353, 10364, 10404];
+
+/// On the trees the simplex still answers, the f64 walk lands on the
+/// exact walk's vertex (the same `x`, `y` and objective, before any
+/// re-pin) and certifies it without falling back, and the pipeline's
+/// certified answer is the exact strategy's. A fallback would keep
+/// every answer exact, so the zero-fallback check is what catches a
+/// walk that stopped mirroring the exact one.
+#[test]
+fn declined_corpus_trees_certify_without_fallback() {
+    let cfg = LaminarConfig { g: 4, horizon: 48, ..Default::default() };
+    for seed in DECLINED_CORPUS_SEEDS {
+        let inst = random_laminar(&cfg, seed);
+        let canon = canonicalize(&Forest::build(&inst).unwrap(), &inst);
+        let lp = build::<Ratio>(&canon, &inst, &opt23::compute(&canon, &inst));
+        let (hybrid, outcome) = lp.solve_hybrid().unwrap();
+        let exact = lp.solve().unwrap();
+        assert_eq!(outcome, HybridOutcome::Verified, "seed {seed}");
+        assert_eq!(hybrid.x, exact.x, "seed {seed}");
+        assert_eq!(hybrid.y, exact.y, "seed {seed}");
+        assert_eq!(hybrid.objective, exact.objective, "seed {seed}");
+
+        let registry = Arc::new(obs::Registry::new());
+        let certified = obs::with_collector(obs::Collector::new(Arc::clone(&registry)), || {
+            solve_nested(&inst, &opts(LpStrategy::Certified)).unwrap()
+        });
+        let snap = registry.snapshot();
+        assert_eq!(certified.stats.lp_answer, LpAnswer::Hybrid, "seed {seed}");
+        assert_eq!(snap.counter("lp.hybrid_fallbacks"), None, "seed {seed}");
+        assert_eq!(snap.counter("solver.certified_repair_fallbacks"), None, "seed {seed}");
+        let exact = solve_nested(&inst, &opts(LpStrategy::Exact)).unwrap();
+        assert_eq!(certified.z, exact.z, "seed {seed}");
+        assert_eq!(certified.schedule.slots, exact.schedule.slots, "seed {seed}");
+        assert_eq!(certified.schedule.assignment, exact.schedule.assignment, "seed {seed}");
+        assert_eq!(
+            certified.stats.lp_objective_exact, exact.stats.lp_objective_exact,
+            "seed {seed}"
+        );
     }
 }
